@@ -50,7 +50,6 @@ from .games import (
     game_non_blocking,
     normalize_countdown,
     solve_countdown,
-    solve_countdown_countup,
     solve_hcs_game,
     solve_reachability,
     solve_safety,

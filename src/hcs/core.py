@@ -204,6 +204,14 @@ class HcsSemantics:
                 self.eps_edges.setdefault(src, []).append((dst, g))
             else:
                 self.sigma_edges.setdefault((src, label), []).append((dst, g))
+        # Product exploration state, filled on first use: per-state sigma
+        # edges sorted by symbol, interned guard-state tuples, and the
+        # memoized step and acceptance tables indexed by product id.
+        self._moves: Optional[list[list[tuple[int, int, Optional[int]]]]] = None
+        self.products: list[tuple] = []
+        self._product_ids: dict[tuple, int] = {}
+        self._steps: list[dict[int, int]] = []
+        self._accepts: list[list[Optional[bool]]] = []
 
     def _guard_ok(self, guard_states: tuple, g: Optional[int]) -> bool:
         return g is None or self.trackers[g].accepting(guard_states[g])
@@ -240,6 +248,84 @@ class HcsSemantics:
     def accepting(self, config: HcsConfiguration) -> bool:
         return bool(config.underlying & self.hcs.underlying.accepting)
 
+    # -- the product of one underlying state with the guard runtimes --
+
+    def product_id(self, guard_states: tuple) -> int:
+        """Intern a tuple of guard runtimes; equal tuples share one id."""
+        p = self._product_ids.get(guard_states)
+        if p is None:
+            p = self._product_ids[guard_states] = len(self.products)
+            self.products.append(guard_states)
+            self._steps.append({})
+            self._accepts.append([None] * len(self.trackers))
+        return p
+
+    def advance(self, p: int, a: int) -> int:
+        """The guard product after reading symbol ``a``, memoized."""
+        nxt = self._steps[p].get(a)
+        if nxt is None:
+            stepped = tuple([tr.step(s, a) for tr, s in zip(self.trackers, self.products[p])])
+            nxt = self._steps[p][a] = self.product_id(stepped)
+        return nxt
+
+    def admits(self, p: int, g: int) -> bool:
+        """Whether guard ``g`` accepts in guard product ``p``, memoized."""
+        ok = self._accepts[p][g]
+        if ok is None:
+            ok = self._accepts[p][g] = self.trackers[g].accepting(self.products[p][g])
+        return ok
+
+    def successors(self, q: int, p: int) -> list[tuple[Optional[int], int, int]]:
+        """Admissible moves out of (q, p) as (label, destination, product id).
+
+        Epsilon moves come first and keep the guard product; sigma moves
+        follow by symbol, each group in transition order.
+        """
+        if self._moves is None:
+            self._moves = [[] for _ in self.hcs.underlying.states]
+            for (src, a), targets in sorted(self.sigma_edges.items()):
+                self._moves[src] += [(a, dst, g) for dst, g in targets]
+        moves = [
+            (None, dst, p)
+            for dst, g in self.eps_edges.get(q, ())
+            if g is None or self.admits(p, g)
+        ]
+        last = nxt = None
+        for a, dst, g in self._moves[q]:
+            if g is None or self.admits(p, g):
+                if a != last:
+                    last, nxt = a, self.advance(p, a)
+                moves.append((a, dst, nxt))
+        return moves
+
+    def explore(self, max_states: int, limit: str, stop: frozenset[int] = frozenset()):
+        """Breadth-first exploration of the reachable (state, product id) pairs.
+
+        Returns ``(vertices, edges)``: vertices in discovery order and edges
+        as (source, label, target) vertex triples, grouped by source in
+        vertex order. Returns None as soon as a vertex whose state is in
+        ``stop`` is dequeued. Discovering vertex number ``max_states + 1``
+        raises ResourceLimitError with ``limit`` formatted by the cap.
+        """
+        n = len(self.hcs.underlying.states)
+        start = (self.hcs.underlying.initial, self.product_id(tuple(tr.initial() for tr in self.trackers)))
+        order = {start[1] * n + start[0]: 0}  # vertex key p * n + q
+        vertices = [start]
+        edges: list[tuple[int, Optional[int], int]] = []
+        for v, (q, p) in enumerate(vertices):
+            if q in stop:
+                return None
+            for label, dst, nxt in self.successors(q, p):
+                key = nxt * n + dst
+                w = order.get(key)
+                if w is None:
+                    if len(vertices) >= max_states:
+                        raise ResourceLimitError(limit.format(max_states), max_states)
+                    w = order[key] = len(vertices)
+                    vertices.append((dst, nxt))
+                edges.append((v, label, w))
+        return vertices, edges
+
 
 def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -> bool:
     """Decide whether ``word`` has an accepting run consistent with all guards."""
@@ -261,39 +347,10 @@ def is_empty(hcs: Hcs, max_configs: int = DEFAULT_STATE_CAP) -> bool:
             raise UnsupportedGuardError(
                 f"guard {name!r} is a VASS; use the cover/bounded emptiness engines"
             )
-    semantics = HcsSemantics(hcs, max_configs)
-    initial_guards = tuple(tracker.initial() for tracker in semantics.trackers)
-    start = (hcs.underlying.initial, initial_guards)
-    seen = {start}
-    queue = deque([start])
-    accepting = hcs.underlying.accepting
-    while queue:
-        q, guard_states = queue.popleft()
-        if q in accepting:
-            return False
-        successors = []
-        for dst, g in semantics.eps_edges.get(q, ()):
-            if semantics._guard_ok(guard_states, g):
-                successors.append((dst, guard_states))
-        for a in range(len(hcs.alphabet)):
-            advanced = None
-            for dst, g in semantics.sigma_edges.get((q, a), ()):
-                if semantics._guard_ok(guard_states, g):
-                    if advanced is None:
-                        advanced = tuple(
-                            tracker.step(state, a)
-                            for tracker, state in zip(semantics.trackers, guard_states)
-                        )
-                    successors.append((dst, advanced))
-        for node in successors:
-            if node not in seen:
-                if len(seen) >= max_configs:
-                    raise ResourceLimitError(
-                        f"emptiness exploration exceeded {max_configs} configurations", max_configs
-                    )
-                seen.add(node)
-                queue.append(node)
-    return True
+    explored = HcsSemantics(hcs, max_configs).explore(
+        max_configs, "emptiness exploration exceeded {} configurations", hcs.underlying.accepting
+    )
+    return explored is not None
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ Model = Any  # FiniteAutomaton | Hcs | HcsGame | Vass | CountdownGame | TwoCount
 
 
 def _expect_keys(doc: dict, context: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    if not isinstance(doc, dict):
+        raise InputError(f"{context}: expected a JSON object, got {type(doc).__name__}")
     missing = [k for k in required if k not in doc]
     if missing:
         raise InputError(f"{context}: missing fields {missing}")
@@ -32,10 +34,19 @@ def _expect_keys(doc: dict, context: str, required: tuple[str, ...], optional: t
         raise InputError(f"{context}: unknown fields {unknown}")
 
 
-def _state_index(states: list[str], name: Any, context: str) -> int:
-    if name not in states:
-        raise InputError(f"{context}: unknown state {name!r}")
-    return states.index(name)
+def _state_table(doc: dict, context: str) -> tuple[list[str], dict[str, int]]:
+    """The document's state names and a name -> index map, built once."""
+    states = doc["states"]
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise InputError(f"{context}: states must be a list of strings")
+    return states, {name: i for i, name in enumerate(states)}
+
+
+def _state_index(index: dict[str, int], name: Any, context: str) -> int:
+    try:
+        return index[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+        raise InputError(f"{context}: unknown state {name!r}") from None
 
 
 def _label_index(alpha: Alphabet, label: Any, context: str) -> Optional[int]:
@@ -147,11 +158,9 @@ def _parse_alphabet(doc: dict, context: str) -> Alphabet:
 
 def _parse_automaton(doc: dict, context: str, allow_guards: bool = False):
     alpha = _parse_alphabet(doc, context)
-    states = doc["states"]
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-        raise InputError(f"{context}: states must be a list of strings")
-    initial = _state_index(states, doc["initial"], context)
-    accepting = frozenset(_state_index(states, q, context) for q in doc["accepting"])
+    states, index = _state_table(doc, context)
+    initial = _state_index(index, doc["initial"], context)
+    accepting = frozenset(_state_index(index, q, context) for q in doc["accepting"])
     transitions = []
     guarded: dict[int, str] = {}
     for i, entry in enumerate(doc["transitions"]):
@@ -161,8 +170,8 @@ def _parse_automaton(doc: dict, context: str, allow_guards: bool = False):
             ("from", "label", "to"),
             ("guard",) if allow_guards else (),
         )
-        src = _state_index(states, entry["from"], context)
-        dst = _state_index(states, entry["to"], context)
+        src = _state_index(index, entry["from"], context)
+        dst = _state_index(index, entry["to"], context)
         label = _label_index(alpha, entry["label"], context)
         transitions.append((src, label, dst))
         if allow_guards and "guard" in entry:
@@ -221,15 +230,16 @@ def from_document(doc: dict) -> Model:
         if objective_doc is None:
             raise InputError("game: missing objective")
         _expect_keys(objective_doc, "game objective", ("kind", "states"))
+        _, index = _state_table(doc, kind)
         objective = Objective(
             objective_doc["kind"],
-            frozenset(_state_index(list(states), q, "game objective") for q in objective_doc["states"]),
+            frozenset(_state_index(index, q, "game objective") for q in objective_doc["states"]),
         )
         return HcsGame(hcs, tuple(owner), objective)
     if kind == "vass":
         _expect_keys(doc, kind, ("type", "alphabet", "dim", "mode", "states", "initial", "accepting", "transitions"))
         alpha = _parse_alphabet(doc, kind)
-        states = doc["states"]
+        states, index = _state_table(doc, kind)
         transitions = []
         for i, entry in enumerate(doc["transitions"]):
             _expect_keys(entry, f"vass transition {i}", ("from", "label", "update", "to"))
@@ -238,24 +248,24 @@ def from_document(doc: dict) -> Model:
                 raise InputError(f"vass transition {i}: update must be a list of integers")
             transitions.append(
                 (
-                    _state_index(states, entry["from"], kind),
+                    _state_index(index, entry["from"], kind),
                     _label_index(alpha, entry["label"], kind),
                     tuple(update),
-                    _state_index(states, entry["to"], kind),
+                    _state_index(index, entry["to"], kind),
                 )
             )
         return Vass(
             alphabet=alpha,
             dim=doc["dim"],
             states=tuple(states),
-            initial=_state_index(states, doc["initial"], kind),
-            accepting=frozenset(_state_index(states, q, kind) for q in doc["accepting"]),
+            initial=_state_index(index, doc["initial"], kind),
+            accepting=frozenset(_state_index(index, q, kind) for q in doc["accepting"]),
             transitions=tuple(transitions),
             mode=doc["mode"],
         )
     if kind == "countdown":
         _expect_keys(doc, kind, ("type", "states", "initial", "target", "edges"))
-        states = doc["states"]
+        states, index = _state_table(doc, kind)
         if not isinstance(doc["target"], int):
             raise InputError("countdown: target must be an integer")
         edges = []
@@ -265,20 +275,20 @@ def from_document(doc: dict) -> Model:
                 raise InputError(f"countdown edge {i}: weight must be an integer")
             edges.append(
                 (
-                    _state_index(states, entry["from"], kind),
+                    _state_index(index, entry["from"], kind),
                     entry["weight"],
-                    _state_index(states, entry["to"], kind),
+                    _state_index(index, entry["to"], kind),
                 )
             )
         return CountdownGame(
             states=tuple(states),
-            initial=_state_index(states, doc["initial"], kind),
+            initial=_state_index(index, doc["initial"], kind),
             target=doc["target"],
             edges=tuple(edges),
         )
     if kind == "2cm":
         _expect_keys(doc, kind, ("type", "states", "transitions", "source", "target"))
-        states = doc["states"]
+        states, index = _state_table(doc, kind)
         transitions = []
         for i, entry in enumerate(doc["transitions"]):
             _expect_keys(entry, f"2cm transition {i}", ("from", "action", "to"))
@@ -286,16 +296,16 @@ def from_document(doc: dict) -> Model:
                 raise InputError(f"2cm transition {i}: unknown action {entry['action']!r}")
             transitions.append(
                 (
-                    _state_index(states, entry["from"], kind),
+                    _state_index(index, entry["from"], kind),
                     entry["action"],
-                    _state_index(states, entry["to"], kind),
+                    _state_index(index, entry["to"], kind),
                 )
             )
         return TwoCounterMachine(
             states=tuple(states),
             transitions=tuple(transitions),
-            source=_state_index(states, doc["source"], kind),
-            target=_state_index(states, doc["target"], kind),
+            source=_state_index(index, doc["source"], kind),
+            target=_state_index(index, doc["target"], kind),
         )
     raise InputError(f"unknown document type {kind!r}")
 

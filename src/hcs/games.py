@@ -19,13 +19,14 @@ is reachable exactly when the guards jointly encode the target value.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, complete, determinize
 from .core import Hcs, HcsSemantics, guard_kind
-from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
+from .errors import ContractError, InputError, UnsupportedGuardError
 
 REACH = "reach"
 SAFE = "safe"
@@ -66,7 +67,11 @@ class HcsGame:
 
 @dataclass(frozen=True)
 class Arena:
-    """Reachable product of the underlying automaton with all guard DFAs."""
+    """Reachable product of the underlying automaton with all guard DFAs.
+
+    Vertices are (underlying state, guard-state tuple) pairs in breadth-first
+    discovery order; edges are grouped by source vertex in that order.
+    """
 
     guard_names: tuple[str, ...]
     vertices: tuple[tuple[int, tuple[int, ...]], ...]
@@ -75,6 +80,21 @@ class Arena:
     initial: int
     marked: frozenset[int]  # objective states, lifted to vertices
     objective_kind: str
+
+    @cached_property
+    def out_offsets(self) -> tuple[int, ...]:
+        """The out-edges of vertex v are the edge ids offsets[v] .. offsets[v + 1] - 1.
+
+        Computed once; requires the edges grouped by source in vertex order,
+        as ``build_arena`` emits them.
+        """
+        sources = [src for src, _, _ in self.edges]
+        if sources != sorted(sources):
+            raise ContractError("arena edges must be grouped by source vertex")
+        offsets = [0] * (len(self.vertices) + 1)
+        for src in sources:
+            offsets[src + 1] += 1
+        return tuple(accumulate(offsets))
 
     def out_edges(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in self.vertices]
@@ -161,44 +181,11 @@ def build_arena(game: HcsGame, max_vertices: int = DEFAULT_STATE_CAP) -> Arena:
     underlying automaton become arena edges that leave guard states alone.
     """
     semantics = HcsSemantics(game.hcs, max_vertices)
-    trackers = semantics.trackers
-    hcs = game.hcs
-    start = (hcs.underlying.initial, tuple(tr.initial() for tr in trackers))
-    order: dict[tuple[int, tuple], int] = {start: 0}
-    vertices = [start]
-    edges: list[tuple[int, Optional[int], int]] = []
-    queue = deque([0])
-
-    def vertex_id(node):
-        if node not in order:
-            if len(order) >= max_vertices:
-                raise ResourceLimitError(
-                    f"arena construction exceeded {max_vertices} vertices", max_vertices
-                )
-            order[node] = len(order)
-            vertices.append(node)
-            queue.append(order[node])
-        return order[node]
-
-    while queue:
-        v = queue.popleft()
-        q, guard_states = vertices[v]
-        for dst, g in semantics.eps_edges.get(q, ()):
-            if semantics._guard_ok(guard_states, g):
-                edges.append((v, None, vertex_id((dst, guard_states))))
-        for a in range(len(hcs.alphabet)):
-            targets = [
-                dst
-                for dst, g in semantics.sigma_edges.get((q, a), ())
-                if semantics._guard_ok(guard_states, g)
-            ]
-            if not targets:
-                continue
-            advanced = tuple(tr.step(s, a) for tr, s in zip(trackers, guard_states))
-            for dst in targets:
-                edges.append((v, a, vertex_id((dst, advanced))))
-    owner = tuple(game.owner[q] for q, _ in vertices)
-    marked = frozenset(i for i, (q, _) in enumerate(vertices) if q in game.objective.states)
+    nodes, edges = semantics.explore(max_vertices, "arena construction exceeded {} vertices")
+    products = semantics.products
+    vertices = [(q, products[p]) for q, p in nodes]
+    owner = tuple([game.owner[q] for q, _ in nodes])
+    marked = frozenset([i for i, (q, _) in enumerate(nodes) if q in game.objective.states])
     return Arena(
         guard_names=semantics.names,
         vertices=tuple(vertices),
@@ -231,67 +218,58 @@ def arena_size_bounds(game: HcsGame) -> tuple[int, int]:
 
 def _attractor(
     arena: Arena, player: int, targets: frozenset[int]
-) -> tuple[frozenset[int], dict[int, int], dict[int, int]]:
+) -> tuple[frozenset[int], dict[int, int]]:
     """Backward attractor with join order, yielding a progress-measured strategy.
 
-    Returns (region, strategy for ``player`` inside the region, join order).
-    Opponent dead-ends are vacuously attracted: their owner is stuck and a
-    stuck player loses.
+    Returns (region, strategy for ``player`` inside the region). Opponent
+    dead-ends are vacuously attracted: their owner is stuck and a stuck
+    player loses.
     """
-    out = arena.out_edges()
-    rev: list[list[tuple[int, int]]] = [[] for _ in arena.vertices]
-    for i, (src, _, dst) in enumerate(arena.edges):
-        rev[dst].append((src, i))
-    count = [len(out[v]) for v in range(len(arena.vertices))]
-    region = set(targets)
-    joined_at = {v: 0 for v in sorted(targets)}
-    queue = deque(sorted(targets))
-    for v in range(len(arena.vertices)):
-        if v not in region and arena.owner[v] != player and count[v] == 0:
-            region.add(v)
-            joined_at[v] = 0
-            queue.append(v)
+    n = len(arena.vertices)
+    edges, owner, offsets = arena.edges, arena.owner, arena.out_offsets
+    rev: list[list[int]] = [[] for _ in range(n)]
+    for src, _, dst in edges:
+        rev[dst].append(src)
+    count = [offsets[v + 1] - offsets[v] for v in range(n)]
+    joined = [-1] * n  # join tick; -1 outside the region
+    order = sorted(targets)  # the region in join order, read as a queue
+    for v in order:
+        joined[v] = 0
+    for v in range(n):
+        if joined[v] < 0 and owner[v] != player and count[v] == 0:
+            joined[v] = 0
+            order.append(v)
     tick = 0
-    while queue:
-        v = queue.popleft()
-        for u, _ in rev[v]:
-            if u in region:
+    for v in order:
+        for u in rev[v]:
+            if joined[u] >= 0:
                 continue
-            if arena.owner[u] == player:
-                tick += 1
-                region.add(u)
-                joined_at[u] = tick
-                queue.append(u)
-            else:
+            if owner[u] != player:
                 count[u] -= 1
-                if count[u] == 0:
-                    tick += 1
-                    region.add(u)
-                    joined_at[u] = tick
-                    queue.append(u)
+                if count[u]:
+                    continue
+            tick += 1
+            joined[u] = tick
+            order.append(u)
     strategy: dict[int, int] = {}
-    for v in region:
-        if arena.owner[v] != player or v in targets:
-            continue
-        candidates = [
-            e
-            for e in out[v]
-            if arena.edges[e][2] in region and joined_at[arena.edges[e][2]] < joined_at[v]
-        ]
-        strategy[v] = min(candidates)
-    return frozenset(region), strategy, joined_at
+    for v in order:
+        if owner[v] == player and joined[v] > 0:
+            strategy[v] = next(
+                e for e in range(offsets[v], offsets[v + 1]) if 0 <= joined[edges[e][2]] < joined[v]
+            )
+    return frozenset(order), strategy
 
 
 def _staying_strategy(arena: Arena, player: int, region: frozenset[int]) -> dict[int, int]:
     """Lexicographically minimal edge keeping ``player`` inside ``region``."""
-    out = arena.out_edges()
+    edges, offsets = arena.edges, arena.out_offsets
     strategy: dict[int, int] = {}
     for v in region:
-        if arena.owner[v] != player:
-            continue
-        candidates = [e for e in out[v] if arena.edges[e][2] in region]
-        if candidates:
-            strategy[v] = min(candidates)
+        if arena.owner[v] == player:
+            for e in range(offsets[v], offsets[v + 1]):
+                if edges[e][2] in region:
+                    strategy[v] = e
+                    break
     return strategy
 
 
@@ -299,7 +277,7 @@ def solve_reachability(arena: Arena) -> GameSolution:
     """Attractor solution of a reach-objective arena."""
     if arena.objective_kind != REACH:
         raise ContractError("solve_reachability requires a reach objective")
-    region0, strategy0, _ = _attractor(arena, 0, arena.marked)
+    region0, strategy0 = _attractor(arena, 0, arena.marked)
     region1 = frozenset(range(len(arena.vertices))) - region0
     strategy1 = _staying_strategy(arena, 1, region1)
     return GameSolution(
@@ -315,7 +293,7 @@ def solve_safety(arena: Arena) -> GameSolution:
     """Safety solved as the complement reachability game with roles swapped."""
     if arena.objective_kind != SAFE:
         raise ContractError("solve_safety requires a safe objective")
-    region1, strategy1, _ = _attractor(arena, 1, arena.marked)
+    region1, strategy1 = _attractor(arena, 1, arena.marked)
     region0 = frozenset(range(len(arena.vertices))) - region1
     strategy0 = _staying_strategy(arena, 0, region0)
     return GameSolution(
@@ -385,23 +363,6 @@ def solve_countdown(game: CountdownGame) -> int:
                 for d, succs in by_weight.get(s, {}).items()
             )
     return 0 if win[game.target][game.initial] else 1
-
-
-def solve_countdown_countup(game: CountdownGame) -> int:
-    """Count-up view of the same game: climb from 0 to the target exactly."""
-    by_weight: dict[int, dict[int, list[int]]] = {}
-    for src, weight, dst in game.edges:
-        by_weight.setdefault(src, {}).setdefault(weight, []).append(dst)
-    win = [[False] * len(game.states) for _ in range(game.target + 1)]
-    for s in range(len(game.states)):
-        win[game.target][s] = True
-    for u in range(game.target - 1, -1, -1):
-        for s in range(len(game.states)):
-            win[u][s] = any(
-                u + d <= game.target and all(win[u + d][t] for t in succs)
-                for d, succs in by_weight.get(s, {}).items()
-            )
-    return 0 if win[0][game.initial] else 1
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -524,6 +485,15 @@ def countdown_guard_dfas(k: int) -> list[FiniteAutomaton]:
     return dfas
 
 
+@lru_cache(maxsize=8)
+def _shared_guard_dfas(k: int) -> tuple[FiniteAutomaton, ...]:
+    """The counter guards depend on k alone, so reductions share them.
+
+    Bounded because an entry holds k + 1 automata over 3k + 1 symbols.
+    """
+    return tuple(countdown_guard_dfas(k))
+
+
 def countdown_to_hcs_game(game: CountdownGame) -> HcsGame:
     """Reduce a countdown game to a reachability game on a guarded system.
 
@@ -548,7 +518,7 @@ def countdown_to_hcs_game(game: CountdownGame) -> HcsGame:
     k = game.target.bit_length() - 1
     alpha = countdown_alphabet(k)
     idx = {sym: i for i, sym in enumerate(alpha.symbols)}
-    guards = {f"D{i}": dfa for i, dfa in enumerate(countdown_guard_dfas(k))}
+    guards = {f"D{i}": dfa for i, dfa in enumerate(_shared_guard_dfas(k))}
 
     states: list[str] = []
     owner: list[int] = []

@@ -204,7 +204,13 @@ def hcs_cover_empty(
         raise InputError(f"unknown emptiness engine {engine!r}")
     if all(g.deterministic for g in guards.values()):
         return _onthefly_empty_deterministic(hcs, node_cap)
-    return _onthefly_empty_sets(hcs, node_cap)
+    explored = HcsSemantics(hcs, node_cap).explore(
+        node_cap,
+        "set-based exploration exceeded {} configurations "
+        "(emptiness of non-deterministic cover-VASS guards is a semi-decision)",
+        hcs.underlying.accepting,
+    )
+    return explored is not None
 
 
 DEAD = "dead"
@@ -326,48 +332,6 @@ def _guardvec_leq(a: tuple, b: tuple) -> bool:
             return False
         if any(p > q for p, q in zip(x[1], y[1])):
             return False
-    return True
-
-
-def _onthefly_empty_sets(hcs: Hcs, node_cap: int) -> bool:
-    """Exact exploration for non-deterministic cover-VASS guards.
-
-    Tracks the full configuration set of every guard, so both verdicts are
-    sound when the search space is finite; unbounded counter growth hits the
-    node cap instead of producing an unsound "empty".
-    """
-    semantics = HcsSemantics(hcs, node_cap)
-    start = (hcs.underlying.initial, tuple(tr.initial() for tr in semantics.trackers))
-    seen = {start}
-    queue = deque([start])
-    accepting = hcs.underlying.accepting
-    while queue:
-        q, guard_states = queue.popleft()
-        if q in accepting:
-            return False
-        successors = []
-        for dst, g in semantics.eps_edges.get(q, ()):
-            if semantics._guard_ok(guard_states, g):
-                successors.append((dst, guard_states))
-        for a in range(len(hcs.alphabet)):
-            advanced = None
-            for dst, g in semantics.sigma_edges.get((q, a), ()):
-                if semantics._guard_ok(guard_states, g):
-                    if advanced is None:
-                        advanced = tuple(
-                            tr.step(s, a) for tr, s in zip(semantics.trackers, guard_states)
-                        )
-                    successors.append((dst, advanced))
-        for node in successors:
-            if node not in seen:
-                if len(seen) >= node_cap:
-                    raise ResourceLimitError(
-                        f"set-based exploration exceeded {node_cap} configurations "
-                        "(emptiness of non-deterministic cover-VASS guards is a semi-decision)",
-                        node_cap,
-                    )
-                seen.add(node)
-                queue.append(node)
     return True
 
 

@@ -218,3 +218,147 @@ def _vass_closure(vass, configs):
                     seen.add(node)
                     stack.append(node)
     return seen
+
+
+def solve_countdown_countup(game):
+    """Count-up view of a countdown game: climb from 0 to the target exactly."""
+    by_weight = {}
+    for src, weight, dst in game.edges:
+        by_weight.setdefault(src, {}).setdefault(weight, []).append(dst)
+    win = [[False] * len(game.states) for _ in range(game.target + 1)]
+    for s in range(len(game.states)):
+        win[game.target][s] = True
+    for u in range(game.target - 1, -1, -1):
+        for s in range(len(game.states)):
+            win[u][s] = any(
+                u + d <= game.target and all(win[u + d][t] for t in succs)
+                for d, succs in by_weight.get(s, {}).items()
+            )
+    return 0 if win[0][game.initial] else 1
+
+
+def reference_product(hcs):
+    """Reachable (state, guard runtimes) pairs and moves, found the plain way:
+    at every pair, try every alphabet symbol, filter the underlying edges by
+    raw guard acceptance and step each guard tracker, numbering pairs in
+    breadth-first order. Returns (guard names, vertices, edges)."""
+    from hcs.core import HcsSemantics
+
+    semantics = HcsSemantics(hcs)
+    trackers = semantics.trackers
+
+    def ok(guard_states, g):
+        return g is None or trackers[g].accepting(guard_states[g])
+
+    start = (hcs.underlying.initial, tuple(tr.initial() for tr in trackers))
+    order = {start: 0}
+    vertices = [start]
+    edges = []
+    queue = deque([0])
+
+    def vertex_id(node):
+        if node not in order:
+            order[node] = len(order)
+            vertices.append(node)
+            queue.append(order[node])
+        return order[node]
+
+    while queue:
+        v = queue.popleft()
+        q, guard_states = vertices[v]
+        for dst, g in semantics.eps_edges.get(q, ()):
+            if ok(guard_states, g):
+                edges.append((v, None, vertex_id((dst, guard_states))))
+        for a in range(len(hcs.alphabet)):
+            targets = [dst for dst, g in semantics.sigma_edges.get((q, a), ()) if ok(guard_states, g)]
+            if not targets:
+                continue
+            advanced = tuple(tr.step(s, a) for tr, s in zip(trackers, guard_states))
+            for dst in targets:
+                edges.append((v, a, vertex_id((dst, advanced))))
+    return semantics.names, vertices, edges
+
+
+def reference_arena(game):
+    """The arena of ``game`` over ``reference_product``."""
+    from hcs.games import Arena
+
+    names, vertices, edges = reference_product(game.hcs)
+    return Arena(
+        guard_names=names,
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        owner=tuple(game.owner[q] for q, _ in vertices),
+        initial=0,
+        marked=frozenset(i for i, (q, _) in enumerate(vertices) if q in game.objective.states),
+        objective_kind=game.objective.kind,
+    )
+
+
+def _reference_attractor(arena, player, targets):
+    """Backward attractor over adjacency lists, sets and a join-order map."""
+    out = arena.out_edges()
+    rev = [[] for _ in arena.vertices]
+    for src, _, dst in arena.edges:
+        rev[dst].append(src)
+    count = [len(edges) for edges in out]
+    region = set(targets)
+    joined_at = {v: 0 for v in targets}
+    queue = deque(sorted(targets))
+    for v in range(len(arena.vertices)):
+        if v not in region and arena.owner[v] != player and count[v] == 0:
+            region.add(v)
+            joined_at[v] = 0
+            queue.append(v)
+    tick = 0
+    while queue:
+        v = queue.popleft()
+        for u in rev[v]:
+            if u in region:
+                continue
+            if arena.owner[u] != player:
+                count[u] -= 1
+                if count[u]:
+                    continue
+            tick += 1
+            region.add(u)
+            joined_at[u] = tick
+            queue.append(u)
+    strategy = {}
+    for v in region:
+        if arena.owner[v] == player and v not in targets:
+            strategy[v] = min(
+                e for e in out[v] if arena.edges[e][2] in region and joined_at[arena.edges[e][2]] < joined_at[v]
+            )
+    return frozenset(region), strategy
+
+
+def _reference_staying(arena, player, region):
+    out = arena.out_edges()
+    strategy = {}
+    for v in region:
+        if arena.owner[v] == player:
+            inside = [e for e in out[v] if arena.edges[e][2] in region]
+            if inside:
+                strategy[v] = min(inside)
+    return strategy
+
+
+def reference_solution(arena):
+    """Reach or safe solution of ``arena``: attractor for the player who
+    wants the marked vertices, least staying edges for the other."""
+    from hcs.games import GameSolution
+
+    attractor_player = 0 if arena.objective_kind == "reach" else 1
+    attracted, attract_strategy = _reference_attractor(arena, attractor_player, arena.marked)
+    rest = frozenset(range(len(arena.vertices))) - attracted
+    stay_strategy = _reference_staying(arena, 1 - attractor_player, rest)
+    region0 = attracted if attractor_player == 0 else rest
+    strategies = (attract_strategy, stay_strategy) if attractor_player == 0 else (stay_strategy, attract_strategy)
+    return GameSolution(
+        winner_from_initial=0 if arena.initial in region0 else 1,
+        winning_region_0=region0,
+        strategy_0=strategies[0],
+        strategy_1=strategies[1],
+        arena=arena,
+    )

@@ -347,6 +347,31 @@ class TestExitCodes:
         assert cli.main(["empty", "--model", str(bad)]) == 2
         capsys.readouterr()
 
+    def test_non_object_entry_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        doc = {
+            "type": "dfa",
+            "alphabet": ["a"],
+            "states": ["q"],
+            "initial": "q",
+            "accepting": [],
+            "transitions": [5],
+        }
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["fmt", "--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "expected a JSON object" in err
+        assert "Traceback" not in err
+
+    def test_unknown_state_keeps_its_message(self):
+        doc = {"type": "countdown", "states": ["A"], "initial": "B", "target": 1, "edges": []}
+        with pytest.raises(InputError, match="countdown: unknown state 'B'"):
+            formats.from_document(doc)
+        doc = {"type": "vass", "alphabet": ["a"], "dim": 1, "mode": "cover", "states": ["p"],
+               "initial": "p", "accepting": [["p"]], "transitions": []}
+        with pytest.raises(InputError, match=r"vass: unknown state \['p'\]"):
+            formats.from_document(doc)
+
     def test_resource_cap_is_exit_three(self, capsys):
         assert (
             cli.main(

@@ -21,12 +21,13 @@ from hcs.games import (
     game_non_blocking,
     normalize_countdown,
     solve_countdown,
-    solve_countdown_countup,
     solve_hcs_game,
     solve_reachability,
     solve_safety,
 )
 from hcs.models import AB, branching_nonempty_hcs
+
+from oracles import solve_countdown_countup
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
