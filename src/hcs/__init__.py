@@ -24,7 +24,6 @@ from .automata import (
 from .bench import SuccinctnessReport, cycle_dfa, prime_family, verify_succinctness
 from .core import (
     Hcs,
-    HcsConfiguration,
     HcsSemantics,
     build_intersection_dfa,
     build_intersection_nfa,
@@ -70,7 +69,6 @@ from .vassguards import (
     complete_vass,
     delimited_star_hcs,
     hcs_cover_empty,
-    hcs_vass_member,
     product_vass,
     two_cm_to_hcs,
     two_counter_run_words,

@@ -26,26 +26,28 @@ class Alphabet:
     """An ordered list of distinct symbol names; "eps" is reserved."""
 
     symbols: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        index: dict[str, int] = {}
         for sym in self.symbols:
             if not sym:
                 raise InputError("alphabet symbols must be non-empty strings")
             if sym == EPS_NAME:
                 raise InputError('"eps" is reserved for epsilon and cannot be an alphabet symbol')
-            if sym in seen:
+            if sym in index:
                 raise InputError(f"duplicate alphabet symbol {sym!r}")
-            seen.add(sym)
+            index[sym] = len(index)
+        object.__setattr__(self, "_index", index)
 
     def index(self, symbol: str) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._index[symbol]
+        except (KeyError, TypeError):
             raise InputError(f"unknown symbol {symbol!r} (alphabet: {list(self.symbols)})") from None
 
     def __contains__(self, symbol: str) -> bool:
-        return symbol in self.symbols
+        return symbol in self._index
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -84,12 +86,13 @@ class FiniteAutomaton:
         for q in self.accepting:
             if not 0 <= q < n:
                 raise InputError(f"accepting state index {q} out of range")
+        n_sym = len(self.alphabet)
         seen = set()
         keys = set()
         for src, label, dst in self.transitions:
             if not (0 <= src < n and 0 <= dst < n):
                 raise InputError(f"transition ({src}, {label}, {dst}) has an out-of-range state")
-            if label is not None and not 0 <= label < len(self.alphabet):
+            if label is not None and not 0 <= label < n_sym:
                 raise InputError(f"transition label index {label} out of range")
             if (src, label, dst) in seen:
                 raise InputError(f"duplicate transition ({src}, {label}, {dst})")

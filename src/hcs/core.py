@@ -10,7 +10,6 @@ transition reads the history's sigma-projection as it stands.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -116,16 +115,19 @@ def total_state_count(hcs: Hcs) -> int:
 #
 # Guard runtime states are a deterministic function of the sigma-projection
 # of the consumed prefix, so one runtime per guard is shared by every run in
-# a configuration: a DFA state index for regular guards, an inner
-# configuration for nested guards, and the set of reachable configurations
-# for VASS guards (empty set once the guard has died).
+# a configuration: a DFA state index for regular guards, the inner lazy DFA
+# state for nested guards, and the configurations a VASS guard can reach
+# (empty once the guard has died; maximal omega-configurations in cover
+# mode, see ``vass.eps_closure_configs``).
 
 
 class _RegularTracker:
     def __init__(self, guard: FiniteAutomaton, max_states: int):
         dfa = guard if guard.deterministic else determinize(guard, max_states)
         dfa = complete(dfa)
-        self.delta = {(src, label): dst for src, label, dst in dfa.transitions}
+        self.delta = [[0] * len(dfa.alphabet) for _ in dfa.states]
+        for src, label, dst in dfa.transitions:
+            self.delta[src][label] = dst
         self.accept = dfa.accepting
         self.start = dfa.initial
 
@@ -133,7 +135,7 @@ class _RegularTracker:
         return self.start
 
     def step(self, state, symbol: int):
-        return self.delta[(state, symbol)]
+        return self.delta[state][symbol]
 
     def accepting(self, state) -> bool:
         return state in self.accept
@@ -161,24 +163,22 @@ class _NestedTracker:
     def initial(self):
         return self.semantics.initial()
 
-    def step(self, config, symbol: int):
-        return self.semantics.step(config, symbol)
+    def step(self, state, symbol: int):
+        return self.semantics.step(state, symbol)
 
-    def accepting(self, config) -> bool:
-        return self.semantics.accepting(config)
-
-
-@dataclass(frozen=True)
-class HcsConfiguration:
-    """A set of possible underlying states plus one runtime state per guard."""
-
-    underlying: frozenset[int]
-    guard_states: tuple
-    history_length: int
+    def accepting(self, state) -> bool:
+        return self.semantics.accepting(state)
 
 
 class HcsSemantics:
-    """Stepping machinery for one HCS; pure with respect to configurations."""
+    """Stepping machinery for one HCS: a lazily built DFA over an interned
+    product of guard runtimes.
+
+    A DFA state is an int standing for an epsilon-closed subset of underlying
+    states paired with a guard-product id; ``configs`` lists the pairs by id.
+    A step is computed the first time it is asked for and then read from a
+    table. Every empty subset is the one dead state, which steps to itself.
+    """
 
     def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
         self.hcs = hcs
@@ -206,49 +206,73 @@ class HcsSemantics:
                 self.sigma_edges.setdefault((src, label), []).append((dst, g))
         # Product exploration state, filled on first use: per-state sigma
         # edges sorted by symbol, interned guard-state tuples, and the
-        # memoized step and acceptance tables indexed by product id.
+        # memoized step and acceptance tables keyed by product id.
+        self._width = len(hcs.alphabet)
         self._moves: Optional[list[list[tuple[int, int, Optional[int]]]]] = None
         self.products: list[tuple] = []
         self._product_ids: dict[tuple, int] = {}
-        self._steps: list[dict[int, int]] = []
-        self._accepts: list[list[Optional[bool]]] = []
+        self._steps: dict[int, int] = {}  # p * |alphabet| + a -> product id
+        self._accepts: dict[int, bool] = {}  # p * |guards| + g -> acceptance
+        # The lazy DFA: (subset, product id) by state id, and its step table
+        # (d * |alphabet| + a -> state id, None until asked for).
+        self.configs: list[tuple[frozenset[int], Optional[int]]] = []
+        self._config_ids: dict[tuple[frozenset[int], Optional[int]], int] = {}
+        self._delta: list[Optional[int]] = []
+        self._unfilled = [None] * self._width
 
-    def _guard_ok(self, guard_states: tuple, g: Optional[int]) -> bool:
-        return g is None or self.trackers[g].accepting(guard_states[g])
+    # -- the lazy DFA --
 
-    def _closure(self, states: set[int], guard_states: tuple) -> frozenset[int]:
-        todo = list(states)
-        seen = set(states)
+    def initial(self) -> int:
+        p = self.initial_product()
+        return self._state(self.closure({self.hcs.underlying.initial}, p), p)
+
+    def step(self, d: int, symbol: str | int) -> int:
+        a = symbol if isinstance(symbol, int) else self.hcs.alphabet.index(symbol)
+        i = d * self._width + a
+        nxt = self._delta[i]
+        if nxt is None:
+            subset, p = self.configs[d]
+            targets = set()
+            for q in subset:
+                for dst, g in self.sigma_edges.get((q, a), ()):
+                    if g is None or self.admits(p, g):
+                        targets.add(dst)
+            if targets:
+                p = self.advance(p, a)
+                closed = self.closure(targets, p) if self.eps_edges else frozenset(targets)
+                nxt = self._state(closed, p)
+            else:
+                nxt = self._state(frozenset(), None)
+            self._delta[i] = nxt
+        return nxt
+
+    def accepting(self, d: int) -> bool:
+        return not self.hcs.underlying.accepting.isdisjoint(self.configs[d][0])
+
+    def _state(self, subset: frozenset[int], p: Optional[int]) -> int:
+        key = (subset, p)
+        d = self._config_ids.get(key)
+        if d is None:
+            d = self._config_ids[key] = len(self.configs)
+            self.configs.append(key)
+            self._delta += self._unfilled if subset else [d] * self._width
+        return d
+
+    def closure(self, seen: set[int], p: int) -> frozenset[int]:
+        """Close ``seen`` in place under the epsilon moves admitted in ``p``."""
+        todo = list(seen)
         while todo:
             q = todo.pop()
             for dst, g in self.eps_edges.get(q, ()):
-                if dst not in seen and self._guard_ok(guard_states, g):
+                if dst not in seen and (g is None or self.admits(p, g)):
                     seen.add(dst)
                     todo.append(dst)
         return frozenset(seen)
 
-    def initial(self) -> HcsConfiguration:
-        guard_states = tuple(tracker.initial() for tracker in self.trackers)
-        underlying = self._closure({self.hcs.underlying.initial}, guard_states)
-        return HcsConfiguration(underlying, guard_states, 0)
-
-    def step(self, config: HcsConfiguration, symbol: str | int) -> HcsConfiguration:
-        a = symbol if isinstance(symbol, int) else self.hcs.alphabet.index(symbol)
-        nxt: set[int] = set()
-        for q in config.underlying:
-            for dst, g in self.sigma_edges.get((q, a), ()):
-                if self._guard_ok(config.guard_states, g):
-                    nxt.add(dst)
-        advanced = tuple(
-            tracker.step(state, a) for tracker, state in zip(self.trackers, config.guard_states)
-        )
-        underlying = self._closure(nxt, advanced)
-        return HcsConfiguration(underlying, advanced, config.history_length + 1)
-
-    def accepting(self, config: HcsConfiguration) -> bool:
-        return bool(config.underlying & self.hcs.underlying.accepting)
-
     # -- the product of one underlying state with the guard runtimes --
+
+    def initial_product(self) -> int:
+        return self.product_id(tuple(tr.initial() for tr in self.trackers))
 
     def product_id(self, guard_states: tuple) -> int:
         """Intern a tuple of guard runtimes; equal tuples share one id."""
@@ -256,23 +280,23 @@ class HcsSemantics:
         if p is None:
             p = self._product_ids[guard_states] = len(self.products)
             self.products.append(guard_states)
-            self._steps.append({})
-            self._accepts.append([None] * len(self.trackers))
         return p
 
     def advance(self, p: int, a: int) -> int:
         """The guard product after reading symbol ``a``, memoized."""
-        nxt = self._steps[p].get(a)
+        key = p * self._width + a
+        nxt = self._steps.get(key)
         if nxt is None:
             stepped = tuple([tr.step(s, a) for tr, s in zip(self.trackers, self.products[p])])
-            nxt = self._steps[p][a] = self.product_id(stepped)
+            nxt = self._steps[key] = self.product_id(stepped)
         return nxt
 
     def admits(self, p: int, g: int) -> bool:
         """Whether guard ``g`` accepts in guard product ``p``, memoized."""
-        ok = self._accepts[p][g]
+        key = p * len(self.trackers) + g
+        ok = self._accepts.get(key)
         if ok is None:
-            ok = self._accepts[p][g] = self.trackers[g].accepting(self.products[p][g])
+            ok = self._accepts[key] = self.trackers[g].accepting(self.products[p][g])
         return ok
 
     def successors(self, q: int, p: int) -> list[tuple[Optional[int], int, int]]:
@@ -308,7 +332,7 @@ class HcsSemantics:
         raises ResourceLimitError with ``limit`` formatted by the cap.
         """
         n = len(self.hcs.underlying.states)
-        start = (self.hcs.underlying.initial, self.product_id(tuple(tr.initial() for tr in self.trackers)))
+        start = (self.hcs.underlying.initial, self.initial_product())
         order = {start[1] * n + start[0]: 0}  # vertex key p * n + q
         vertices = [start]
         edges: list[tuple[int, Optional[int], int]] = []
@@ -330,10 +354,11 @@ class HcsSemantics:
 def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -> bool:
     """Decide whether ``word`` has an accepting run consistent with all guards."""
     semantics = HcsSemantics(hcs, max_states)
-    config = semantics.initial()
-    for sym in word:
-        config = semantics.step(config, sym)
-    return semantics.accepting(config)
+    step = semantics.step
+    d = semantics.initial()
+    for a in map(hcs.alphabet.index, word):
+        d = step(d, a)
+    return semantics.accepting(d)
 
 
 def is_empty(hcs: Hcs, max_configs: int = DEFAULT_STATE_CAP) -> bool:
@@ -360,71 +385,32 @@ def is_empty(hcs: Hcs, max_configs: int = DEFAULT_STATE_CAP) -> bool:
 def determinize_hcs(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> FiniteAutomaton:
     """Build a complete DFA for the HCS language.
 
-    Simultaneous powerset construction on the underlying automaton and
-    product of the (determinized, completed) guard DFAs: each constructed
-    state is a maximal subset of underlying states paired with one state per
-    guard. Dead subsets are routed to a single sink. Nested guards are
-    flattened first.
+    The lazy DFA of ``HcsSemantics``, built to completion: each state is a
+    maximal subset of underlying states paired with one state per
+    (determinized, completed) guard, numbered in breadth-first order. Dead
+    subsets share a single sink. Nested guards are flattened first.
     """
     hcs = flatten_nested(hcs, max_states)
     for name, guard in hcs.guards.items():
         if guard_kind(guard) != REGULAR:
             raise UnsupportedGuardError(f"determinization requires regular guards, got {name!r}")
     semantics = HcsSemantics(hcs, max_states)
-    trackers = semantics.trackers
-
-    n_sym = len(hcs.alphabet)
-    start_guards = tuple(tr.initial() for tr in trackers)
-    start_set = semantics._closure({hcs.underlying.initial}, start_guards)
-    start = (start_set, start_guards)
-
-    order: dict[tuple, int] = {start: 0}
-    queue = deque([start])
+    step = semantics.step
+    configs = semantics.configs
+    symbols = range(len(hcs.alphabet))
+    cap = max(max_states, 1)  # the start state is never refused
     transitions: list[tuple[int, Optional[int], int]] = []
-    accepting: set[int] = set()
-    sink: Optional[int] = None
-    if start_set & hcs.underlying.accepting:
-        accepting.add(0)
-    while queue:
-        key = queue.popleft()
-        subset, guard_states = key
-        src = order[key]
-        for a in range(n_sym):
-            nxt: set[int] = set()
-            for q in subset:
-                for dst, g in semantics.sigma_edges.get((q, a), ()):
-                    if semantics._guard_ok(guard_states, g):
-                        nxt.add(dst)
-            advanced = tuple(tr.step(s, a) for tr, s in zip(trackers, guard_states))
-            closed = semantics._closure(nxt, advanced)
-            if not closed:
-                if sink is None:
-                    if len(order) + 1 > max_states:
-                        raise ResourceLimitError(
-                            f"determinization exceeded the state cap of {max_states}", max_states
-                        )
-                    sink = len(order)
-                    order[("sink",)] = sink
-                    for b in range(n_sym):
-                        transitions.append((sink, b, sink))
-                transitions.append((src, a, sink))
-                continue
-            nkey = (closed, advanced)
-            if nkey not in order:
-                if len(order) + 1 > max_states:
-                    raise ResourceLimitError(
-                        f"determinization exceeded the state cap of {max_states}", max_states
-                    )
-                order[nkey] = len(order)
-                if closed & hcs.underlying.accepting:
-                    accepting.add(order[nkey])
-                queue.append(nkey)
-            transitions.append((src, a, order[nkey]))
+    d = semantics.initial()
+    while d < len(configs):
+        transitions += [(d, a, step(d, a)) for a in symbols]
+        if len(configs) > cap:
+            raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
+        d += 1
     return FiniteAutomaton(
         alphabet=hcs.alphabet,
-        states=tuple(f"d{i}" for i in range(len(order))),
+        states=tuple(f"d{i}" for i in range(len(configs))),
         initial=0,
-        accepting=frozenset(accepting),
+        accepting=frozenset(d for d in range(len(configs)) if semantics.accepting(d)),
         transitions=tuple(transitions),
     )
 

@@ -106,29 +106,53 @@ def eps_closure_configs(
 ) -> frozenset[tuple[int, tuple[int, ...]]]:
     """Close a configuration set under epsilon transitions.
 
-    Epsilon cycles with positive counter effect make this set infinite; we
-    fail loudly at the cap instead of looping.
+    In reach mode the closure itself is returned: epsilon cycles with
+    positive counter effect make it infinite, and we fail loudly at the cap
+    instead of looping. Cover acceptance reads only control states, and a
+    configuration can do whatever a smaller one in its state can, so in
+    cover mode the maximal omega-configurations (omega is ``math.inf``) of
+    the closure's downward closure stand for it: a finite antichain even
+    where epsilon loops pump counters without bound. They are found by a
+    Karp-Miller walk: a configuration covering an ancestor in its own state
+    gets omega wherever it grew, and one covered by a configuration already
+    found is not expanded. Every configuration found is expanded, so the
+    downward closure of the result is closed under epsilon moves.
     """
-    closure = set(configs)
-    stack = list(closure)
-    eps = [(src, update, dst) for src, label, update, dst in vass.transitions if label is None]
+    cover = vass.mode == COVER
+    eps: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for src, label, update, dst in vass.transitions:
+        if label is None:
+            eps.setdefault(src, []).append((update, dst))
+    nodes: list[tuple[int, tuple, int]] = []  # (state, counters, parent node or -1)
+    found: dict[int, set[tuple]] = {}
+    stack = [(state, counters, -1) for state, counters in configs]
     while stack:
-        state, counters = stack.pop()
-        for src, update, dst in eps:
-            if src != state:
+        state, counters, up = stack.pop()
+        seen = found.setdefault(state, set())
+        if cover:
+            j = up
+            while j >= 0:
+                anc_state, anc_counters, j = nodes[j]
+                if anc_state == state and anc_counters != counters and _vec_leq(anc_counters, counters):
+                    counters = tuple(inf if x < y else y for x, y in zip(anc_counters, counters))
+            if any(_vec_leq(counters, other) for other in seen):
                 continue
-            nxt = _fire(counters, update)
-            if nxt is None:
-                continue
-            cfg = (dst, nxt)
-            if cfg not in closure:
-                if len(closure) >= max_configs:
-                    raise ResourceLimitError(
-                        f"epsilon closure exceeded {max_configs} configurations", max_configs
-                    )
-                closure.add(cfg)
-                stack.append(cfg)
-    return frozenset(closure)
+        elif counters in seen:
+            continue
+        if up >= 0 and len(nodes) >= max_configs:
+            raise ResourceLimitError(f"epsilon closure exceeded {max_configs} configurations", max_configs)
+        seen.add(counters)
+        nodes.append((state, counters, up))
+        for update, dst in eps.get(state, ()):
+            fired = _fire(counters, update)
+            if fired is not None:
+                stack.append((dst, fired, len(nodes) - 1))
+    return frozenset(
+        (state, counters)
+        for state, seen in found.items()
+        for counters in seen
+        if not (cover and any(other != counters and _vec_leq(counters, other) for other in seen))
+    )
 
 
 def step_configs(
@@ -157,7 +181,8 @@ def vass_accepts(vass: Vass, word: Sequence[str], max_configs: int = DEFAULT_NOD
     """Exhaustive run search: does some run over ``word`` end accepting?
 
     Counters on a length-n run are bounded by n times the largest update, so
-    the search space is finite for models without effectful epsilon cycles.
+    the search space is finite for models without effectful epsilon cycles;
+    cover mode tracks omega-configurations, which are finite even with them.
     """
     indices = [vass.alphabet.index(sym) for sym in word]
     configs = initial_configs(vass, max_configs)

@@ -18,10 +18,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import inf
-from typing import Optional, Sequence
+from typing import Optional
 
 from .automata import Alphabet, FiniteAutomaton
-from .core import Hcs, HcsSemantics, guard_kind, member
+from .core import Hcs, HcsSemantics, guard_kind
 from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 from .vass import (
     COVER,
@@ -33,11 +33,6 @@ from .vass import (
     decide_coverability,
     initial_configs,
 )
-
-
-def hcs_vass_member(hcs: Hcs, word: Sequence[str], max_configs: int = DEFAULT_NODE_CAP) -> bool:
-    """Membership where guard queries are answered by VASS run search."""
-    return member(hcs, word, max_configs)
 
 
 def complete_vass(vass: Vass, sink_name: str = "vsink") -> Vass:
@@ -500,45 +495,30 @@ def bounded_reach_empty(hcs: Hcs, max_len: int, node_cap: int = DEFAULT_NODE_CAP
     """
     semantics = HcsSemantics(hcs, node_cap)
     accepting = hcs.underlying.accepting
-
-    def closure(layer: dict) -> None:
-        stack = list(layer)
-        while stack:
-            q, guard_states = stack.pop()
-            for dst, g in semantics.eps_edges.get(q, ()):
-                node = (dst, guard_states)
-                if node not in layer and semantics._guard_ok(guard_states, g):
-                    layer[node] = layer[(q, guard_states)]
-                    stack.append(node)
-
-    start = (hcs.underlying.initial, tuple(tr.initial() for tr in semantics.trackers))
-    layer: dict[tuple, tuple[str, ...]] = {start: ()}
-    closure(layer)
+    symbols = hcs.alphabet.symbols
+    layer: dict[tuple[int, int], tuple[str, ...]] = {
+        (hcs.underlying.initial, semantics.initial_product()): ()
+    }
     seen_words = 0
     for depth in range(max_len + 1):
-        for (q, _), word in layer.items():
+        closed: dict[tuple[int, int], tuple[str, ...]] = {}
+        for (q, p), word in layer.items():
+            for r in semantics.closure({q}, p):
+                closed.setdefault((r, p), word)
+        if depth:
+            seen_words += len(closed)
+            if seen_words > node_cap:
+                raise ResourceLimitError(f"bounded search exceeded {node_cap} configurations", node_cap)
+        for (q, _), word in closed.items():
             if q in accepting:
                 return BoundedEmptiness("nonempty", word, max_len)
         if depth == max_len:
             break
-        nxt: dict[tuple, tuple[str, ...]] = {}
-        for (q, guard_states), word in layer.items():
-            for a in range(len(hcs.alphabet)):
-                advanced = None
-                for dst, g in semantics.sigma_edges.get((q, a), ()):
-                    if semantics._guard_ok(guard_states, g):
-                        if advanced is None:
-                            advanced = tuple(
-                                tr.step(s, a) for tr, s in zip(semantics.trackers, guard_states)
-                            )
-                        node = (dst, advanced)
-                        if node not in nxt:
-                            nxt[node] = word + (hcs.alphabet.symbols[a],)
-        closure(nxt)
-        seen_words += len(nxt)
-        if seen_words > node_cap:
-            raise ResourceLimitError(f"bounded search exceeded {node_cap} configurations", node_cap)
-        layer = nxt
+        layer = {}
+        for (q, p), word in closed.items():
+            for label, dst, nxt in semantics.successors(q, p):
+                if label is not None:
+                    layer.setdefault((dst, nxt), word + (symbols[label],))
     return BoundedEmptiness("unknown", None, max_len)
 
 

@@ -53,29 +53,22 @@ class NfaStepper:
 
 
 class HcsStepper:
-    """Membership-side stepper: wraps the library semantics but drops the
-    history counter so equal configurations dedupe across depths."""
+    """Membership-side stepper over the library's lazy DFA: its states are
+    DFA state ids, so equal configurations dedupe across depths."""
 
     def __init__(self, hcs):
         from hcs.core import HcsSemantics
 
         self.semantics = HcsSemantics(hcs)
-        self._config = {}
 
     def initial(self):
-        config = self.semantics.initial()
-        key = (config.underlying, config.guard_states)
-        self._config[key] = config
-        return key
+        return self.semantics.initial()
 
-    def step(self, key, symbol):
-        config = self.semantics.step(self._config[key], symbol)
-        nkey = (config.underlying, config.guard_states)
-        self._config.setdefault(nkey, config)
-        return nkey
+    def step(self, d, symbol):
+        return self.semantics.step(d, symbol)
 
-    def accepting(self, key):
-        return bool(key[0] & self.semantics.hcs.underlying.accepting)
+    def accepting(self, d):
+        return bool(self.semantics.configs[d][0] & self.semantics.hcs.underlying.accepting)
 
 
 def first_disagreement(a, b, n_symbols, max_len):
@@ -362,3 +355,158 @@ def reference_solution(arena):
         strategy_1=strategies[1],
         arena=arena,
     )
+
+
+def _raw_closure(eps_edges, trackers, states, guard_states):
+    """Epsilon closure of ``states`` with raw guard acceptance checks."""
+    seen = set(states)
+    todo = list(states)
+    while todo:
+        q = todo.pop()
+        for dst, g in eps_edges.get(q, ()):
+            if dst not in seen and (g is None or trackers[g].accepting(guard_states[g])):
+                seen.add(dst)
+                todo.append(dst)
+    return frozenset(seen)
+
+
+def reference_determinize(hcs, max_states=1_000_000):
+    """Subset construction on the underlying automaton times the tuple of
+    guard runtimes, stepping every guard tracker on every symbol and keying
+    states by (subset, runtimes), as ``determinize_hcs`` did before the lazy
+    DFA. Nested guards are flattened with this same construction. Returns
+    (states, accepting, transitions) with transitions as a list."""
+    from hcs.automata import FiniteAutomaton
+    from hcs.core import Hcs, HcsSemantics, guard_kind
+    from hcs.errors import ResourceLimitError
+
+    if any(guard_kind(g) == "nested" for g in hcs.guards.values()):
+        table = {}
+        for name, guard in hcs.guards.items():
+            if guard_kind(guard) == "nested":
+                states, accepting, transitions = reference_determinize(guard, max_states)
+                guard = FiniteAutomaton(guard.alphabet, states, 0, accepting, tuple(transitions))
+            table[name] = guard
+        hcs = Hcs(hcs.alphabet, hcs.underlying, table, dict(hcs.guarded))
+    semantics = HcsSemantics(hcs, max_states)
+    trackers = semantics.trackers
+    n_sym = len(hcs.alphabet)
+    start_guards = tuple(tr.initial() for tr in trackers)
+    start = (_raw_closure(semantics.eps_edges, trackers, {hcs.underlying.initial}, start_guards), start_guards)
+    order = {start: 0}
+    queue = deque([start])
+    transitions = []
+    accepting = set()
+    sink = None
+    if start[0] & hcs.underlying.accepting:
+        accepting.add(0)
+
+    def new_state(key):
+        if len(order) + 1 > max_states:
+            raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
+        order[key] = len(order)
+        return order[key]
+
+    while queue:
+        key = queue.popleft()
+        subset, guard_states = key
+        src = order[key]
+        for a in range(n_sym):
+            nxt = set()
+            for q in subset:
+                for dst, g in semantics.sigma_edges.get((q, a), ()):
+                    if g is None or trackers[g].accepting(guard_states[g]):
+                        nxt.add(dst)
+            advanced = tuple(tr.step(s, a) for tr, s in zip(trackers, guard_states))
+            closed = _raw_closure(semantics.eps_edges, trackers, nxt, advanced)
+            if not closed:
+                if sink is None:
+                    sink = new_state(("sink",))
+                    transitions += [(sink, b, sink) for b in range(n_sym)]
+                transitions.append((src, a, sink))
+                continue
+            nkey = (closed, advanced)
+            if nkey not in order:
+                if closed & hcs.underlying.accepting:
+                    accepting.add(new_state(nkey))
+                else:
+                    new_state(nkey)
+                queue.append(nkey)
+            transitions.append((src, a, order[nkey]))
+    return tuple(f"d{i}" for i in range(len(order))), frozenset(accepting), transitions
+
+
+def reference_bounded_reach(hcs, max_len, node_cap=1_000_000):
+    """Layered search over (state, guard runtimes) pairs, one layer per
+    sigma symbol, as ``bounded_reach_empty`` did before it walked the
+    explorer's successors. Returns (status, witness)."""
+    from hcs.core import HcsSemantics
+    from hcs.errors import ResourceLimitError
+
+    semantics = HcsSemantics(hcs, node_cap)
+    trackers = semantics.trackers
+
+    def closure(layer):
+        stack = list(layer)
+        while stack:
+            q, guard_states = stack.pop()
+            for dst, g in semantics.eps_edges.get(q, ()):
+                node = (dst, guard_states)
+                if node not in layer and (g is None or trackers[g].accepting(guard_states[g])):
+                    layer[node] = layer[(q, guard_states)]
+                    stack.append(node)
+
+    layer = {(hcs.underlying.initial, tuple(tr.initial() for tr in trackers)): ()}
+    closure(layer)
+    seen_words = 0
+    for depth in range(max_len + 1):
+        for (q, _), word in layer.items():
+            if q in hcs.underlying.accepting:
+                return "nonempty", word
+        if depth == max_len:
+            break
+        nxt = {}
+        for (q, guard_states), word in layer.items():
+            for a in range(len(hcs.alphabet)):
+                for dst, g in semantics.sigma_edges.get((q, a), ()):
+                    if g is None or trackers[g].accepting(guard_states[g]):
+                        advanced = tuple(tr.step(s, a) for tr, s in zip(trackers, guard_states))
+                        nxt.setdefault((dst, advanced), word + (hcs.alphabet.symbols[a],))
+        closure(nxt)
+        seen_words += len(nxt)
+        if seen_words > node_cap:
+            raise ResourceLimitError(f"bounded search exceeded {node_cap} configurations", node_cap)
+        layer = nxt
+    return "unknown", None
+
+
+def cover_vass_member(vass, word):
+    """Membership of ``word`` in the language of a cover-mode VASS, decided
+    as backward coverability on the product of the word's linear automaton
+    with the VASS: copy i of the control reads epsilon moves in place and
+    the i-th symbol into copy i + 1; the last copy's accepting states lead
+    to one fresh target, to be covered with zero counters."""
+    from hcs.vass import COVER, CoverabilityInstance, Vass, decide_coverability
+
+    n = len(vass.states)
+    labels = [vass.alphabet.index(sym) for sym in word]
+    transitions = []
+    for i in range(len(labels) + 1):
+        for src, label, update, dst in vass.transitions:
+            if label is None:
+                transitions.append((i * n + src, None, update, i * n + dst))
+            elif i < len(labels) and label == labels[i]:
+                transitions.append((i * n + src, label, update, (i + 1) * n + dst))
+    target = (len(labels) + 1) * n
+    zero = (0,) * vass.dim
+    transitions += [(len(labels) * n + f, None, zero, target) for f in sorted(vass.accepting)]
+    product = Vass(
+        vass.alphabet,
+        vass.dim,
+        tuple(f"c{i}" for i in range(target + 1)),
+        vass.initial,
+        frozenset({target}),
+        tuple(dict.fromkeys(transitions)),
+        COVER,
+    )
+    return decide_coverability(CoverabilityInstance(product, vass.initial, target, zero), "backward").coverable

@@ -58,7 +58,6 @@ from hcs.vassguards import (
     TwoCounterMachine,
     delimited_star_hcs,
     hcs_cover_empty,
-    hcs_vass_member,
     product_vass,
     two_cm_to_hcs,
     two_counter_run_words,
@@ -411,7 +410,7 @@ def test_criterion_10_delimited_kleene_star():
     with criterion(10, "delimited Kleene star fidelity", 10):
         vass = count_balanced_vass()
         hcs = delimited_star_hcs(vass)
-        assert hcs_vass_member(hcs, ["$"])
+        assert member(hcs, ["$"])
 
         def oracle(word):
             if not word or word[0] != "$" or word[-1] != "$":

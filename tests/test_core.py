@@ -361,12 +361,12 @@ class TestConfigurationSemantics:
         hcs = four_eyes_hcs()
         semantics = HcsSemantics(hcs)
         word = ["SubmitA", "Approve2", "Approve1", "CompleteA"]
-        config = semantics.initial()
+        d = semantics.initial()
         for i, sym in enumerate(word):
-            config = semantics.step(config, sym)
-            assert config.history_length == i + 1
+            d = semantics.step(d, sym)
+            _, p = semantics.configs[d]
             for name, tracker, state in zip(
-                semantics.names, semantics.trackers, config.guard_states
+                semantics.names, semantics.trackers, semantics.products[p]
             ):
                 expected = tracker.initial()
                 for s in word[: i + 1]:
@@ -382,7 +382,7 @@ class TestConfigurationSemantics:
         gadget = build_intersection_dfa([cycle_dfa(2), cycle_dfa(3)])
         assert gadget.deterministic
         semantics = HcsSemantics(gadget)
-        config = semantics.initial()
+        d = semantics.initial()
         for sym in ["a", "a", "$", "$"]:
-            assert len(config.underlying) <= 1
-            config = semantics.step(config, sym)
+            assert len(semantics.configs[d][0]) <= 1
+            d = semantics.step(d, sym)

@@ -390,12 +390,13 @@ class TestReduction:
         guards = reduced.hcs.guards
 
         def states_after(word):
-            config = semantics.initial()
+            d = semantics.initial()
             for sym in word:
-                config = semantics.step(config, sym)
+                d = semantics.step(d, sym)
+            _, p = semantics.configs[d]
             return {
                 name: guards[name].states[state]
-                for name, state in zip(semantics.names, config.guard_states)
+                for name, state in zip(semantics.names, semantics.products[p])
             }
 
         after_two = states_after(["2", "n0", "n1"])

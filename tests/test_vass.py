@@ -26,7 +26,6 @@ from hcs.vassguards import (
     complete_vass,
     delimited_star_hcs,
     hcs_cover_empty,
-    hcs_vass_member,
     product_vass,
     two_cm_to_hcs,
     two_counter_run_words,
@@ -505,10 +504,10 @@ class TestTwoCounterMachines:
 class TestDelimitedStar:
     def test_block_language_examples(self):
         hcs = delimited_star_hcs(count_balanced_vass())
-        assert hcs_vass_member(hcs, ["$"])
-        assert hcs_vass_member(hcs, "$ a a b $ a b $".split())
-        assert not hcs_vass_member(hcs, "$ a b b $".split())
-        assert not hcs_vass_member(hcs, "$ b a $".split())
+        assert member(hcs, ["$"])
+        assert member(hcs, "$ a a b $ a b $".split())
+        assert not member(hcs, "$ a b b $".split())
+        assert not member(hcs, "$ b a $".split())
 
     def test_matches_definitional_oracle(self):
         vass = count_balanced_vass()
@@ -530,7 +529,7 @@ class TestDelimitedStar:
             return all(vass_accepts_brute(vass, block) for block in blocks)
 
         for word in all_words(["a", "b", "$"], 6):
-            assert hcs_vass_member(hcs, word) == oracle(word), word
+            assert member(hcs, word) == oracle(word), word
 
     def test_dollar_collision_rejected(self):
         bad = Vass(Alphabet(("a", "$")), 1, ("q",), 0, frozenset({0}), (), COVER)
