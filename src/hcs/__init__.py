@@ -30,7 +30,6 @@ from .core import (
     determinize_hcs,
     flatten_nested,
     hcs_size,
-    make_non_blocking,
     member,
     total_state_count,
 )

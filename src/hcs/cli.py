@@ -241,8 +241,7 @@ def _cmd_vass_cover(args) -> int:
         target=model.state_index(args.target),
         target_counters=(0,) * model.dim,
     )
-    engine = {"km": "km", "backward": "backward"}[args.engine]
-    result = decide_coverability(instance, engine, args.max_states)
+    result = decide_coverability(instance, args.engine, args.max_states)
     _emit(
         {
             "coverable": result.coverable,
@@ -275,15 +274,24 @@ def _cmd_fmt(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--max-states",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_STATE_CAP,
         help="cap on constructed states/configurations/nodes",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for generator subcommands")
     common.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
 
     parser = argparse.ArgumentParser(

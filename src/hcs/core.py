@@ -569,7 +569,7 @@ def build_intersection_dfa(guards: Sequence[Guard], alphabet: Optional[Alphabet]
 
 
 # ---------------------------------------------------------------------------
-# Nested guards and non-blocking completion
+# Nested guards
 
 
 def has_nested_guards(hcs: Hcs) -> bool:
@@ -590,41 +590,3 @@ def flatten_nested(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> Hcs:
         else:
             table[name] = guard
     return Hcs(hcs.alphabet, hcs.underlying, table, dict(hcs.guarded))
-
-
-def make_non_blocking(hcs: Hcs, sink_name: str = "sink") -> Hcs:
-    """Give every (state, symbol) pair an unguarded continuation.
-
-    Pairs lacking a trivially-guarded transition get an unguarded move to a
-    fresh non-accepting sink with full self-loops, so every symbol stays
-    admissible in every history. The language is unchanged.
-    """
-    auto = hcs.underlying
-    covered = {
-        (src, label)
-        for t, (src, label, _) in enumerate(auto.transitions)
-        if label is not None and t not in hcs.guarded
-    }
-    missing = [
-        (q, a)
-        for q in range(len(auto.states))
-        for a in range(len(hcs.alphabet))
-        if (q, a) not in covered
-    ]
-    if not missing:
-        return hcs
-    name = sink_name
-    while name in auto.states:
-        name = "_" + name
-    sink = len(auto.states)
-    transitions = list(auto.transitions)
-    transitions += [(q, a, sink) for q, a in missing]
-    transitions += [(sink, a, sink) for a in range(len(hcs.alphabet))]
-    underlying = FiniteAutomaton(
-        alphabet=auto.alphabet,
-        states=auto.states + (name,),
-        initial=auto.initial,
-        accepting=auto.accepting,
-        transitions=tuple(transitions),
-    )
-    return Hcs(hcs.alphabet, underlying, dict(hcs.guards), dict(hcs.guarded))

@@ -34,11 +34,37 @@ def _expect_keys(doc: dict, context: str, required: tuple[str, ...], optional: t
         raise InputError(f"{context}: unknown fields {unknown}")
 
 
+def _strings(doc: dict, key: str, context: str) -> list[str]:
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InputError(f"{context}: {key} must be a list of strings")
+    return value
+
+
+def _entries(doc: dict, key: str, context: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise InputError(f"{context}: {key} must be a list")
+    return value
+
+
+def _object(doc: dict, key: str, context: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise InputError(f"{context}: {key} must be an object")
+    return value
+
+
+def _int(doc: dict, key: str, context: str) -> int:
+    value = doc[key]
+    if type(value) is not int:  # a JSON true or false is not a number
+        raise InputError(f"{context}: {key} must be an integer")
+    return value
+
+
 def _state_table(doc: dict, context: str) -> tuple[list[str], dict[str, int]]:
     """The document's state names and a name -> index map, built once."""
-    states = doc["states"]
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
-        raise InputError(f"{context}: states must be a list of strings")
+    states = _strings(doc, "states", context)
     return states, {name: i for i, name in enumerate(states)}
 
 
@@ -150,20 +176,17 @@ def to_document(model: Model) -> dict:
 
 
 def _parse_alphabet(doc: dict, context: str) -> Alphabet:
-    symbols = doc["alphabet"]
-    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
-        raise InputError(f"{context}: alphabet must be a list of strings")
-    return Alphabet(tuple(symbols))
+    return Alphabet(tuple(_strings(doc, "alphabet", context)))
 
 
 def _parse_automaton(doc: dict, context: str, allow_guards: bool = False):
     alpha = _parse_alphabet(doc, context)
     states, index = _state_table(doc, context)
     initial = _state_index(index, doc["initial"], context)
-    accepting = frozenset(_state_index(index, q, context) for q in doc["accepting"])
+    accepting = frozenset(_state_index(index, q, context) for q in _entries(doc, "accepting", context))
     transitions = []
     guarded: dict[int, str] = {}
-    for i, entry in enumerate(doc["transitions"]):
+    for i, entry in enumerate(_entries(doc, "transitions", context)):
         _expect_keys(
             entry,
             f"{context}: transition {i}",
@@ -175,6 +198,8 @@ def _parse_automaton(doc: dict, context: str, allow_guards: bool = False):
         label = _label_index(alpha, entry["label"], context)
         transitions.append((src, label, dst))
         if allow_guards and "guard" in entry:
+            if not isinstance(entry["guard"], str):
+                raise InputError(f"{context}: transition {i}: guard must be a string")
             guarded[i] = entry["guard"]
     automaton = FiniteAutomaton(
         alphabet=alpha,
@@ -189,7 +214,7 @@ def _parse_automaton(doc: dict, context: str, allow_guards: bool = False):
 def _parse_hcs(doc: dict, context: str) -> Hcs:
     underlying, guarded = _parse_automaton(doc, context, allow_guards=True)
     guards = {}
-    for name, guard_doc in doc.get("guards", {}).items():
+    for name, guard_doc in _object(doc, "guards", context).items():
         guards[name] = from_document(guard_doc)
         if isinstance(guards[name], (HcsGame, CountdownGame, TwoCounterMachine)):
             raise InputError(f"{context}: guard {name!r} must be an automaton, VASS, or HCS")
@@ -215,12 +240,12 @@ def from_document(doc: dict) -> Model:
         _expect_keys(doc, kind, base, ("guards", "owner", "objective"))
         hcs = _parse_hcs({k: v for k, v in doc.items() if k not in ("owner", "objective")}, kind)
         states = hcs.underlying.states
-        owner_doc = doc.get("owner", {})
+        owner_doc = _object(doc, "owner", kind)
         owner = []
         for name in states:
             if name not in owner_doc:
                 raise InputError(f"game: state {name!r} has no owner")
-            if owner_doc[name] not in (0, 1):
+            if type(owner_doc[name]) is not int or owner_doc[name] not in (0, 1):
                 raise InputError(f"game: owner of {name!r} must be 0 or 1")
             owner.append(owner_doc[name])
         unknown_owners = [n for n in owner_doc if n not in states]
@@ -233,7 +258,9 @@ def from_document(doc: dict) -> Model:
         _, index = _state_table(doc, kind)
         objective = Objective(
             objective_doc["kind"],
-            frozenset(_state_index(index, q, "game objective") for q in objective_doc["states"]),
+            frozenset(
+                _state_index(index, q, "game objective") for q in _entries(objective_doc, "states", "game objective")
+            ),
         )
         return HcsGame(hcs, tuple(owner), objective)
     if kind == "vass":
@@ -241,10 +268,10 @@ def from_document(doc: dict) -> Model:
         alpha = _parse_alphabet(doc, kind)
         states, index = _state_table(doc, kind)
         transitions = []
-        for i, entry in enumerate(doc["transitions"]):
+        for i, entry in enumerate(_entries(doc, "transitions", kind)):
             _expect_keys(entry, f"vass transition {i}", ("from", "label", "update", "to"))
             update = entry["update"]
-            if not isinstance(update, list) or not all(isinstance(u, int) for u in update):
+            if not isinstance(update, list) or not all(type(u) is int for u in update):
                 raise InputError(f"vass transition {i}: update must be a list of integers")
             transitions.append(
                 (
@@ -256,41 +283,37 @@ def from_document(doc: dict) -> Model:
             )
         return Vass(
             alphabet=alpha,
-            dim=doc["dim"],
+            dim=_int(doc, "dim", kind),
             states=tuple(states),
             initial=_state_index(index, doc["initial"], kind),
-            accepting=frozenset(_state_index(index, q, kind) for q in doc["accepting"]),
+            accepting=frozenset(_state_index(index, q, kind) for q in _entries(doc, "accepting", kind)),
             transitions=tuple(transitions),
             mode=doc["mode"],
         )
     if kind == "countdown":
         _expect_keys(doc, kind, ("type", "states", "initial", "target", "edges"))
         states, index = _state_table(doc, kind)
-        if not isinstance(doc["target"], int):
-            raise InputError("countdown: target must be an integer")
         edges = []
-        for i, entry in enumerate(doc["edges"]):
+        for i, entry in enumerate(_entries(doc, "edges", kind)):
             _expect_keys(entry, f"countdown edge {i}", ("from", "weight", "to"))
-            if not isinstance(entry["weight"], int):
-                raise InputError(f"countdown edge {i}: weight must be an integer")
             edges.append(
                 (
                     _state_index(index, entry["from"], kind),
-                    entry["weight"],
+                    _int(entry, "weight", f"countdown edge {i}"),
                     _state_index(index, entry["to"], kind),
                 )
             )
         return CountdownGame(
             states=tuple(states),
             initial=_state_index(index, doc["initial"], kind),
-            target=doc["target"],
+            target=_int(doc, "target", kind),
             edges=tuple(edges),
         )
     if kind == "2cm":
         _expect_keys(doc, kind, ("type", "states", "transitions", "source", "target"))
         states, index = _state_table(doc, kind)
         transitions = []
-        for i, entry in enumerate(doc["transitions"]):
+        for i, entry in enumerate(_entries(doc, "transitions", kind)):
             _expect_keys(entry, f"2cm transition {i}", ("from", "action", "to"))
             if entry["action"] not in ACTIONS:
                 raise InputError(f"2cm transition {i}: unknown action {entry['action']!r}")

@@ -5,16 +5,22 @@ transition fires only when the updated counters are all >= 0. Acceptance is
 either "cover" (accepting control state, counters unconstrained) or "reach"
 (accepting state with all counters exactly zero).
 
-Coverability is decided exactly by two engines: a Karp-Miller tree with
-omega-acceleration, and backward search over upward-closed sets represented
-by their minimal basis vectors. Both return a replayable firing sequence
-when the target is coverable.
+One Karp-Miller core, ``karp_miller``, builds every coverability tree of
+the package: over (state, counters) for the ``km`` coverability engine,
+over epsilon moves for cover-mode epsilon closures, and over (state, guard
+controls) with stacked counters for cover-guard emptiness
+(``vassguards``). It accelerates a node to omega against its ancestors and
+skips a new node that a node already kept with the same control covers.
+Coverability is decided exactly by two engines: that tree, and backward
+search over upward-closed sets represented by their minimal basis vectors.
+Both return a replayable firing sequence when the target is coverable.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, inf
 from typing import Iterable, Optional, Sequence
 
@@ -69,6 +75,14 @@ class Vass:
         det = all(label is not None for _, label, _, _ in self.transitions) and len(set(keys)) == len(keys)
         object.__setattr__(self, "deterministic", det)
 
+    @cached_property
+    def out_edges(self) -> list[tuple[int, ...]]:
+        """Indices of the transitions leaving each state, in index order."""
+        out: list[list[int]] = [[] for _ in self.states]
+        for t, (src, _, _, _) in enumerate(self.transitions):
+            out[src].append(t)
+        return [tuple(ts) for ts in out]
+
     def unary_size(self) -> int:
         """Unary size: states plus, per transition, the largest |update| (at least 1)."""
         total = len(self.states)
@@ -112,47 +126,43 @@ def eps_closure_configs(
     configuration can do whatever a smaller one in its state can, so in
     cover mode the maximal omega-configurations (omega is ``math.inf``) of
     the closure's downward closure stand for it: a finite antichain even
-    where epsilon loops pump counters without bound. They are found by a
-    Karp-Miller walk: a configuration covering an ancestor in its own state
-    gets omega wherever it grew, and one covered by a configuration already
-    found is not expanded. Every configuration found is expanded, so the
-    downward closure of the result is closed under epsilon moves.
+    where epsilon loops pump counters without bound. They are the maxima,
+    per state, of the ``karp_miller`` tree rooted at ``configs`` over the
+    epsilon moves.
     """
-    cover = vass.mode == COVER
-    eps: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for src, label, update, dst in vass.transitions:
-        if label is None:
-            eps.setdefault(src, []).append((update, dst))
-    nodes: list[tuple[int, tuple, int]] = []  # (state, counters, parent node or -1)
-    found: dict[int, set[tuple]] = {}
-    stack = [(state, counters, -1) for state, counters in configs]
-    while stack:
-        state, counters, up = stack.pop()
-        seen = found.setdefault(state, set())
-        if cover:
-            j = up
-            while j >= 0:
-                anc_state, anc_counters, j = nodes[j]
-                if anc_state == state and anc_counters != counters and _vec_leq(anc_counters, counters):
-                    counters = tuple(inf if x < y else y for x, y in zip(anc_counters, counters))
-            if any(_vec_leq(counters, other) for other in seen):
-                continue
-        elif counters in seen:
-            continue
-        if up >= 0 and len(nodes) >= max_configs:
-            raise ResourceLimitError(f"epsilon closure exceeded {max_configs} configurations", max_configs)
-        seen.add(counters)
-        nodes.append((state, counters, up))
-        for update, dst in eps.get(state, ()):
-            fired = _fire(counters, update)
-            if fired is not None:
-                stack.append((dst, fired, len(nodes) - 1))
-    return frozenset(
-        (state, counters)
-        for state, seen in found.items()
-        for counters in seen
-        if not (cover and any(other != counters and _vec_leq(counters, other) for other in seen))
-    )
+    transitions, out = vass.transitions, vass.out_edges
+    if vass.mode == COVER:
+
+        def moves(state: int, counters: tuple) -> list:
+            succ = []
+            for t in out[state]:
+                _, label, update, dst = transitions[t]
+                if label is None and (fired := _fire(counters, update)) is not None:
+                    succ.append((t, dst, fired))
+            return succ
+
+        nodes, _ = karp_miller(configs, moves, max_configs, "epsilon closure exceeded {} configurations")
+        found: dict[int, list[tuple]] = {}
+        for node in nodes:
+            found.setdefault(node[0], []).append(node[1])
+        return frozenset(
+            (state, counters)
+            for state, kept in found.items()
+            for counters in kept
+            if not any(other != counters and _vec_leq(counters, other) for other in kept)
+        )
+    seen = set(configs)
+    todo = list(seen)
+    while todo:
+        state, counters = todo.pop()
+        for t in out[state]:
+            _, label, update, dst = transitions[t]
+            if label is None and (fired := _fire(counters, update)) is not None and (dst, fired) not in seen:
+                if len(seen) >= max_configs:
+                    raise ResourceLimitError(f"epsilon closure exceeded {max_configs} configurations", max_configs)
+                seen.add((dst, fired))
+                todo.append((dst, fired))
+    return frozenset(seen)
 
 
 def step_configs(
@@ -162,13 +172,12 @@ def step_configs(
     max_configs: int = DEFAULT_NODE_CAP,
 ) -> frozenset[tuple[int, tuple[int, ...]]]:
     """All configurations reachable by reading one symbol (plus epsilon moves)."""
+    transitions, out = vass.transitions, vass.out_edges
     nxt = set()
     for state, counters in configs:
-        for src, label, update, dst in vass.transitions:
-            if src != state or label != symbol:
-                continue
-            fired = _fire(counters, update)
-            if fired is not None:
+        for t in out[state]:
+            _, label, update, dst = transitions[t]
+            if label == symbol and (fired := _fire(counters, update)) is not None:
                 nxt.add((dst, fired))
     return eps_closure_configs(vass, nxt, max_configs)
 
@@ -278,8 +287,8 @@ def decide_coverability(
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> CoverabilityResult:
     """Decide coverability with the requested engine ("km" or "backward")."""
-    if engine in ("km", "karp-miller", "karpmiller"):
-        return _karp_miller(instance, node_cap)
+    if engine == "km":
+        return _km_coverability(instance, node_cap)
     if engine == "backward":
         return _backward(instance, node_cap)
     raise InputError(f"unknown coverability engine {engine!r}")
@@ -289,98 +298,107 @@ def decide_coverability(
 # Karp-Miller tree
 
 
-@dataclass
-class _Node:
-    state: int
-    vec: tuple  # entries are ints or math.inf (omega)
-    parent: Optional[int]
-    via: Optional[int]  # transition index from parent
-    # accelerations applied at creation, in order: (cycle transitions, pre-omega vec)
-    accels: list
-
-
 def _vec_leq(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _karp_miller(instance: CoverabilityInstance, node_cap: int) -> CoverabilityResult:
-    vass = instance.vass
-    by_state: dict[int, list[int]] = {}
-    for i, (src, _, _, _) in enumerate(vass.transitions):
-        by_state.setdefault(src, []).append(i)
+def karp_miller(roots, moves, cap: int, limit: str, stop=None):
+    """Karp-Miller coverability tree over (control, omega-vector) nodes.
 
-    nodes: list[_Node] = [_Node(instance.source, tuple(instance.source_counters), None, None, [])]
-    queue = deque([0])
-    explored = 0
-    while queue:
-        idx = queue.popleft()
-        node = nodes[idx]
-        explored += 1
-        if node.state == instance.target and _vec_leq(instance.target_counters, node.vec):
-            witness = _km_witness(vass, nodes, idx, instance)
-            return CoverabilityResult(True, tuple(witness), "km", explored)
-        # Leaf rule: a node equal to a strict ancestor is not expanded.
-        if _has_equal_ancestor(nodes, idx):
-            continue
-        for t in by_state.get(node.state, ()):
-            _, _, update, dst = vass.transitions[t]
-            vec = tuple(v + u for v, u in zip(node.vec, update))
-            if any(v < 0 for v in vec):
+    Nodes are kept in breadth-first order as plain tuples
+    ``(control, vec, parent, via, accelerations)``; a root has parent -1 and
+    via None, and omega is ``math.inf``. ``moves(control, vec)`` yields the
+    successors ``(via, control', vec')`` of a node. A new node gets omega
+    wherever it strictly grew over an ancestor with an equal control (see
+    ``_accelerate``), and it is dropped when a node already kept with the
+    same control covers it. Kept nodes are never removed, so the downward
+    closure of the kept vectors is closed under ``moves``.
+
+    Returns ``(nodes, hit)``: ``hit`` is the index of the first kept node
+    for which ``stop(control, vec)`` holds, or None once every kept node is
+    expanded. Keeping a non-root node beyond ``cap`` nodes raises
+    ResourceLimitError with ``limit`` formatted by the cap; roots are never
+    refused.
+    """
+    if cap < 1:
+        raise InputError(f"node cap must be at least 1, got {cap}")
+    nodes: list[tuple] = []
+    found: dict = {}  # control -> vectors of the nodes kept with it
+    parent = -1
+    batch = [(None, control, vec) for control, vec in roots]
+    while True:
+        for via, control, vec in batch:
+            accels = ()
+            if parent >= 0:
+                vec, accels = _accelerate(nodes, parent, via, control, vec)
+            kept = found.get(control)
+            if kept is None:
+                kept = found[control] = []
+            elif any(_vec_leq(vec, other) for other in kept):
                 continue
-            if len(nodes) >= node_cap:
-                raise ResourceLimitError(f"Karp-Miller tree exceeded {node_cap} nodes", node_cap)
-            child = _Node(dst, vec, idx, t, [])
-            nodes.append(child)
-            _accelerate(vass, nodes, len(nodes) - 1)
-            queue.append(len(nodes) - 1)
-    return CoverabilityResult(False, None, "km", explored)
+            if parent >= 0 and len(nodes) >= cap:
+                raise ResourceLimitError(limit.format(cap), cap)
+            kept.append(vec)
+            nodes.append((control, vec, parent, via, accels))
+            if stop is not None and stop(control, vec):
+                return nodes, len(nodes) - 1
+        parent += 1
+        if parent == len(nodes):
+            return nodes, None
+        batch = moves(nodes[parent][0], nodes[parent][1])
 
 
-def _has_equal_ancestor(nodes: list[_Node], idx: int) -> bool:
-    node = nodes[idx]
-    cur = node.parent
-    while cur is not None:
-        anc = nodes[cur]
-        if anc.state == node.state and anc.vec == node.vec:
-            return True
-        cur = anc.parent
-    return False
+def _accelerate(nodes: list[tuple], parent: int, via, control, vec: tuple) -> tuple[tuple, tuple]:
+    """Set to omega the components of ``vec`` that strictly grew over an
+    ancestor with an equal control, until no ancestor grows it further.
+
+    Returns the new vector and the accelerations applied, in order, as
+    (vias from that ancestor to the new node, vector before omega).
+    """
+    accels = ()
+    j = parent
+    while j >= 0:
+        anc_control, anc_vec, up = nodes[j][0], nodes[j][1], nodes[j][2]
+        if anc_control == control and _vec_leq(anc_vec, vec):
+            # Omega entries are inherited along the path, so a component
+            # finite at the node is finite at every ancestor too.
+            grown = [x < y != inf for x, y in zip(anc_vec, vec)]
+            if True in grown:
+                cycle = [via]
+                k = parent
+                while k != j:
+                    cycle.append(nodes[k][3])
+                    k = nodes[k][2]
+                accels += ((tuple(reversed(cycle)), vec),)
+                vec = tuple(inf if g else y for g, y in zip(grown, vec))
+                j = parent
+                continue
+        j = up
+    return vec, accels
 
 
-def _accelerate(vass: Vass, nodes: list[_Node], idx: int) -> None:
-    """Set strictly-grown components to omega, recording the pumping cycles."""
-    node = nodes[idx]
-    changed = True
-    while changed:
-        changed = False
-        cur = node.parent
-        while cur is not None:
-            anc = nodes[cur]
-            if anc.state == node.state and _vec_leq(anc.vec, node.vec):
-                # Omega entries are inherited along the path, so a component
-                # finite at the node is finite at every ancestor too.
-                comps = [j for j in range(vass.dim) if node.vec[j] != inf and anc.vec[j] < node.vec[j]]
-                if comps:
-                    cycle = _path_transitions(nodes, cur, idx)
-                    node.accels.append((tuple(cycle), tuple(node.vec)))
-                    vec = list(node.vec)
-                    for j in comps:
-                        vec[j] = inf
-                    node.vec = tuple(vec)
-                    changed = True
-                    break
-            cur = anc.parent
+def _km_coverability(instance: CoverabilityInstance, node_cap: int) -> CoverabilityResult:
+    vass = instance.vass
+    transitions, out = vass.transitions, vass.out_edges
 
+    def moves(state: int, vec: tuple):
+        for t in out[state]:
+            _, _, update, dst = transitions[t]
+            fired = _fire(vec, update)
+            if fired is not None:
+                yield t, dst, fired
 
-def _path_transitions(nodes: list[_Node], ancestor: int, idx: int) -> list[int]:
-    out: list[int] = []
-    cur = idx
-    while cur != ancestor:
-        node = nodes[cur]
-        out.append(node.via)
-        cur = node.parent
-    out.reverse()
-    return out
+    target, needed = instance.target, instance.target_counters
+    nodes, hit = karp_miller(
+        [(instance.source, tuple(instance.source_counters))],
+        moves,
+        node_cap,
+        "Karp-Miller tree exceeded {} nodes",
+        lambda state, vec: state == target and _vec_leq(needed, vec),
+    )
+    if hit is None:
+        return CoverabilityResult(False, None, "km", len(nodes))
+    return CoverabilityResult(True, tuple(_km_witness(vass, nodes, hit, instance)), "km", len(nodes))
 
 
 def _cycle_effect(vass: Vass, cycle: Sequence[int]) -> list[int]:
@@ -406,7 +424,7 @@ def _firing_requirement(vass: Vass, firing: Sequence[int]) -> list[int]:
 
 
 def _km_witness(
-    vass: Vass, nodes: list[_Node], idx: int, instance: CoverabilityInstance
+    vass: Vass, nodes: list[tuple], idx: int, instance: CoverabilityInstance
 ) -> list[int]:
     """Expand a covering tree branch into a concrete firing sequence.
 
@@ -415,16 +433,16 @@ def _km_witness(
     """
     path: list[int] = []
     cur = idx
-    while cur is not None:
+    while cur >= 0:
         path.append(cur)
-        cur = nodes[cur].parent
+        cur = nodes[cur][2]
     path.reverse()
 
     needed = list(instance.target_counters)
     seq: list[int] = []
     for node_idx in reversed(path[1:]):
-        node = nodes[node_idx]
-        for cycle, pre_vec in reversed(node.accels):
+        via, accels = nodes[node_idx][3:]
+        for cycle, pre_vec in reversed(accels):
             effect = _cycle_effect(vass, cycle)
             req = _firing_requirement(vass, cycle)
             k = 0
@@ -439,9 +457,9 @@ def _km_witness(
                 for j in range(vass.dim):
                     lowest_start = req[j] + (k - 1) * max(0, -effect[j])
                     needed[j] = max(0, lowest_start, needed[j] - k * effect[j])
-        update = vass.transitions[node.via][2]
+        update = vass.transitions[via][2]
         needed = [max(0, -u, nd - u) for nd, u in zip(needed, update)]
-        seq.insert(0, node.via)
+        seq.insert(0, via)
     if any(nd > have for nd, have in zip(needed, instance.source_counters)):
         raise AssertionError("witness reconstruction produced an infeasible requirement")
     return seq

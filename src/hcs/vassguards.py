@@ -1,11 +1,12 @@
 """HCS with VASS guards: membership, emptiness engines, and the reductions.
 
 Cover-guard emptiness runs either through the product VASS plus a
-coverability engine, or through an on-the-fly exploration of
-(state, per-guard configuration) tuples with omega acceleration. A
-deterministic guard whose only enabled move would drive a counter negative
-is dead: it rejects every extension of the history, but the outer system
-keeps running on transitions the guard does not control.
+coverability engine, or through the Karp-Miller core (``vass.karp_miller``)
+run on the fly over (underlying state, guard controls) with the guards'
+counters stacked into one vector. A deterministic guard whose only enabled
+move would drive a counter negative is dead: its control becomes ``DEAD``
+and its counters zero, it rejects every extension of the history, but the
+outer system keeps running on transitions the guard does not control.
 
 The two-counter-machine translation guards each zero-test with a one-state
 reach-acceptance counter tracker, making language emptiness of the result
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import inf
 from typing import Optional
 
 from .automata import Alphabet, FiniteAutomaton
@@ -29,9 +29,11 @@ from .vass import (
     REACH,
     CoverabilityInstance,
     Vass,
+    _fire,
     config_accepting,
     decide_coverability,
     initial_configs,
+    karp_miller,
 )
 
 
@@ -77,6 +79,22 @@ def _cover_dvass_guards(hcs: Hcs, operation: str) -> dict[str, Vass]:
     return guards
 
 
+def _product_parts(hcs: Hcs):
+    """What both cover-guard products step: the completed guards in guard
+    order, their step tables ((state, symbol) -> (update, destination)),
+    and the underlying transitions by source as (index, label, destination,
+    guard position or None)."""
+    names = hcs.guard_names()
+    index_of = {name: i for i, name in enumerate(names)}
+    completed = [complete_vass(hcs.guards[name]) for name in names]
+    steps = [{(src, label): (update, dst) for src, label, update, dst in g.transitions} for g in completed]
+    by_src: dict[int, list[tuple[int, Optional[int], int, Optional[int]]]] = {}
+    for t, (src, label, dst) in enumerate(hcs.underlying.transitions):
+        name = hcs.guarded.get(t)
+        by_src.setdefault(src, []).append((t, label, dst, None if name is None else index_of[name]))
+    return completed, steps, by_src
+
+
 def product_vass(hcs: Hcs, assume_non_dying: bool = False) -> Vass:
     """Product of the underlying automaton with all cover-DVASS guards.
 
@@ -95,20 +113,9 @@ def product_vass(hcs: Hcs, assume_non_dying: bool = False) -> Vass:
             "product_vass is only faithful for guards that cannot die; "
             "pass assume_non_dying=True to assert this"
         )
-    names = hcs.guard_names()
-    completed = [complete_vass(guards[name]) for name in names]
-    index_of = {name: i for i, name in enumerate(names)}
-    dims = [g.dim for g in completed]
-    total_dim = sum(dims) if dims else 1
+    completed, steps, by_src = _product_parts(hcs)
+    total_dim = sum(g.dim for g in completed) or 1
     zero = (0,) * total_dim
-
-    # Deterministic per-guard step tables over the completed guards.
-    step: list[dict[tuple[int, int], tuple[int, tuple[int, ...]]]] = []
-    for g in completed:
-        table = {}
-        for src, label, update, dst in g.transitions:
-            table[(src, label)] = (dst, update)
-        step.append(table)
 
     auto = hcs.underlying
     start = (auto.initial,) + tuple(g.initial for g in completed)
@@ -124,26 +131,20 @@ def product_vass(hcs: Hcs, assume_non_dying: bool = False) -> Vass:
             queue.append(order[node])
         return order[node]
 
-    by_src: dict[int, list[tuple[int, Optional[int], int]]] = {}
-    for t, (src, label, dst) in enumerate(auto.transitions):
-        by_src.setdefault(src, []).append((t, label, dst))
     while queue:
         v = queue.popleft()
         node = tuples[v]
         q, guard_states = node[0], node[1:]
-        for t, label, dst in by_src.get(q, ()):
-            gname = hcs.guarded.get(t)
-            if gname is not None:
-                gi = index_of[gname]
-                if guard_states[gi] not in completed[gi].accepting:
-                    continue
+        for _, label, dst, g in by_src.get(q, ()):
+            if g is not None and guard_states[g] not in completed[g].accepting:
+                continue
             if label is None:
                 transitions.append((v, None, zero, tuple_id((dst,) + guard_states)))
                 continue
             new_states = []
             update: list[int] = []
-            for gi, g in enumerate(completed):
-                nxt, u = step[gi][(guard_states[gi], label)]
+            for s, step in zip(guard_states, steps):
+                u, nxt = step[(s, label)]
                 new_states.append(nxt)
                 update.extend(u)
             if not completed:
@@ -177,12 +178,12 @@ def hcs_cover_empty(
 ) -> bool:
     """Emptiness for an HCS with cover-VASS guards.
 
-    The default on-the-fly engine explores (state, per-guard configuration)
-    tuples with Karp-Miller acceleration; dead guards are tracked exactly, so
-    dying guards need no caller assertion. Non-deterministic guards fall back
-    to an exact set-of-configurations search that reports non-emptiness as
-    soon as a witness depth is reached but raises at the cap instead of ever
-    guessing "empty".
+    The default on-the-fly engine builds a Karp-Miller tree over (state,
+    guard controls) with stacked counters; a dead guard is the control
+    ``DEAD``, so dying guards need no caller assertion. Non-deterministic
+    guards fall back to an exact set-of-configurations search that reports
+    non-emptiness as soon as a witness depth is reached but raises at the
+    cap instead of ever guessing "empty".
     """
     guards = _cover_dvass_guards(hcs, "hcs_cover_empty")
     if engine == "product":
@@ -208,126 +209,52 @@ def hcs_cover_empty(
     return explored is not None
 
 
+#: The control of a deterministic guard after a move drove a counter negative.
 DEAD = "dead"
 
 
 def _onthefly_empty_deterministic(hcs: Hcs, node_cap: int) -> bool:
-    """Karp-Miller style exploration with per-guard config-or-dead entries."""
-    names = hcs.guard_names()
-    completed = [complete_vass(hcs.guards[name]) for name in names]
-    index_of = {name: i for i, name in enumerate(names)}
-    step: list[dict[tuple[int, int], tuple[int, tuple[int, ...]]]] = []
-    for g in completed:
-        step.append({(src, label): (dst, update) for src, label, update, dst in g.transitions})
-    auto = hcs.underlying
-    by_src: dict[int, list[tuple[int, Optional[int], int]]] = {}
-    for t, (src, label, dst) in enumerate(auto.transitions):
-        by_src.setdefault(src, []).append((t, label, dst))
+    """Karp-Miller tree over (state, guard controls) with stacked counters.
 
-    def guard_step(gi: int, state, label: int):
-        if state == DEAD:
-            return DEAD
-        s, counters = state
-        dst, update = step[gi][(s, label)]
-        nxt = tuple(c + u for c, u in zip(counters, update))
-        if any(c < 0 for c in nxt):
-            return DEAD
-        return (dst, nxt)
+    A guard's control is its state or ``DEAD``; a dead guard's slice of the
+    vector is zero, and it stays dead and rejects from then on.
+    """
+    completed, steps, by_src = _product_parts(hcs)
+    slices = []
+    dim = 0
+    for guard, step in zip(completed, steps):
+        slices.append((step, dim, dim + guard.dim))
+        dim += guard.dim
 
-    def accepting_guard(gi: int, state) -> bool:
-        return state != DEAD and state[0] in completed[gi].accepting
-
-    @dataclass
-    class Node:
-        control: tuple  # (q, ((state, counters) | DEAD, ...))
-        parent: Optional[int]
-
-    start = (auto.initial, tuple((g.initial, (0,) * g.dim) for g in completed))
-    if auto.initial in auto.accepting:
-        return False
-    nodes = [Node(start, None)]
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        q, guard_states = nodes[v].control
-        # Leaf rule: equal to an ancestor.
-        cur = nodes[v].parent
-        is_leaf = False
-        while cur is not None:
-            if nodes[cur].control == nodes[v].control:
-                is_leaf = True
-                break
-            cur = nodes[cur].parent
-        if is_leaf:
-            continue
-        for t, label, dst in by_src.get(q, ()):
-            gname = hcs.guarded.get(t)
-            if gname is not None and not accepting_guard(index_of[gname], guard_states[index_of[gname]]):
+    def moves(control: tuple, vec: tuple):
+        q, states = control
+        for t, label, dst, g in by_src.get(q, ()):
+            if g is not None and states[g] not in completed[g].accepting:
                 continue
             if label is None:
-                advanced = guard_states
-            else:
-                advanced = tuple(guard_step(gi, gs, label) for gi, gs in enumerate(guard_states))
-            advanced = _accelerate_guards(nodes, v, dst, advanced)
-            if dst in auto.accepting:
-                return False
-            if len(nodes) >= node_cap:
-                raise ResourceLimitError(f"on-the-fly exploration exceeded {node_cap} nodes", node_cap)
-            nodes.append(Node((dst, advanced), v))
-            queue.append(len(nodes) - 1)
-    return True
+                yield t, (dst, states), vec
+                continue
+            new_states = []
+            new_vec: list = []
+            for s, (step, lo, hi) in zip(states, slices):
+                fired = None
+                if s != DEAD:
+                    update, s = step[(s, label)]
+                    fired = _fire(vec[lo:hi], update)
+                new_states.append(DEAD if fired is None else s)
+                new_vec += (0,) * (hi - lo) if fired is None else fired
+            yield t, (dst, tuple(new_states)), tuple(new_vec)
 
-
-def _accelerate_guards(nodes, parent: int, dst: int, guard_states: tuple) -> tuple:
-    """Omega-accelerate strictly grown counters against tree ancestors.
-
-    Only guards alive in both configurations with the same control state are
-    compared; a dead entry sits below every live one, so growth through
-    death cannot be pumped and is simply left alone.
-    """
-    current = guard_states
-    changed = True
-    while changed:
-        changed = False
-        cur = parent
-        while cur is not None:
-            aq, astates = nodes[cur].control
-            if aq == dst and _guardvec_leq(astates, current):
-                grown = []
-                for gi, (old, new) in enumerate(zip(astates, current)):
-                    if old == DEAD or new == DEAD:
-                        continue
-                    comps = [
-                        j
-                        for j, (x, y) in enumerate(zip(old[1], new[1]))
-                        if y != inf and x < y
-                    ]
-                    if comps:
-                        grown.append((gi, comps))
-                if grown:
-                    updated = list(current)
-                    for gi, comps in grown:
-                        state, counters = updated[gi]
-                        vec = list(counters)
-                        for j in comps:
-                            vec[j] = inf
-                        updated[gi] = (state, tuple(vec))
-                    current = tuple(updated)
-                    changed = True
-                    break
-            cur = nodes[cur].parent
-    return current
-
-
-def _guardvec_leq(a: tuple, b: tuple) -> bool:
-    for x, y in zip(a, b):
-        if x == DEAD:
-            continue  # dead sits below everything
-        if y == DEAD or x[0] != y[0]:
-            return False
-        if any(p > q for p, q in zip(x[1], y[1])):
-            return False
-    return True
+    auto = hcs.underlying
+    start = (auto.initial, tuple(g.initial for g in completed))
+    _, hit = karp_miller(
+        [(start, (0,) * dim)],
+        moves,
+        node_cap,
+        "on-the-fly exploration exceeded {} nodes",
+        lambda control, _: control[0] in auto.accepting,
+    )
+    return hit is None
 
 
 # ---------------------------------------------------------------------------

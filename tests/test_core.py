@@ -13,7 +13,6 @@ from hcs.core import (
     flatten_nested,
     hcs_size,
     is_empty,
-    make_non_blocking,
     member,
     total_state_count,
 )
@@ -325,33 +324,6 @@ def random_guarded_hcs(rng):
             if rng.random() < 0.5:
                 guarded[t] = rng.choice(sorted(guards))
     return Hcs(AB, underlying, guards, guarded)
-
-
-class TestMakeNonBlocking:
-    def test_complete_unguarded_unchanged(self):
-        hcs = all_trivial_hcs()
-        assert make_non_blocking(hcs) is hcs
-
-    def test_branching_empty_gets_sink_and_verdict_survives(self):
-        u1 = branching_empty_hcs()
-        fixed = make_non_blocking(u1)
-        assert len(fixed.underlying.states) == len(u1.underlying.states) + 1
-        assert is_empty(fixed)
-        fixed2 = make_non_blocking(branching_nonempty_hcs())
-        assert not is_empty(fixed2)
-        assert languages_agree(
-            HcsStepper(branching_nonempty_hcs()), HcsStepper(fixed2), 2, 7
-        )
-
-    def test_single_state_no_transitions(self):
-        underlying = FiniteAutomaton(AB, ("q",), 0, frozenset(), ())
-        fixed = make_non_blocking(Hcs(AB, underlying, {}, {}))
-        assert len(fixed.underlying.states) == 2
-        # every state has one transition per symbol
-        per_state = {}
-        for src, label, _ in fixed.underlying.transitions:
-            per_state.setdefault(src, set()).add(label)
-        assert all(per_state[q] == {0, 1} for q in range(2))
 
 
 class TestConfigurationSemantics:

@@ -9,7 +9,7 @@ from hcs import cli, formats
 from hcs.automata import minimize
 from hcs.bench import verify_succinctness
 from hcs.core import member
-from hcs.errors import InputError
+from hcs.errors import HcsError, InputError
 from hcs.games import solve_countdown, solve_hcs_game
 from hcs.models import branching_nonempty_hcs
 from hcs.vass import CoverabilityInstance, decide_coverability
@@ -388,6 +388,69 @@ class TestExitCodes:
             == 3
         )
         capsys.readouterr()
+
+    def test_non_positive_cap_is_usage_error(self, capsys):
+        for argv in (
+            ["vass", "cover", "--model", model_path("count_balanced_vass.json"), "--target", "draining"],
+            ["determinize", "--model", model_path("four_eyes.json"), "--out", os.devnull],
+        ):
+            for cap in ("-1", "0", "x"):
+                with pytest.raises(SystemExit) as exit_info:
+                    cli.main(argv + ["--max-states", cap])
+                assert exit_info.value.code == 2
+                assert "expected a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "dfa", "alphabet": ["a"], "states": ["q"], "initial": "q", "accepting": 5, "transitions": []},
+            {"type": "dfa", "alphabet": ["a"], "states": ["q"], "initial": "q", "accepting": "q", "transitions": []},
+            {"type": "vass", "alphabet": ["a"], "dim": "x", "mode": "cover", "states": ["p"],
+             "initial": "p", "accepting": [], "transitions": []},
+            {"type": "countdown", "states": ["A"], "initial": "A", "target": 1, "edges": 7},
+            {"type": "vass", "alphabet": ["a"], "dim": 1, "mode": "cover", "states": ["p"], "initial": "p",
+             "accepting": [], "transitions": [{"from": "p", "label": "a", "update": [True], "to": "p"}]},
+            {"type": "game", "alphabet": ["a"], "states": ["s"], "initial": "s", "accepting": [],
+             "transitions": [], "owner": {"s": True}, "objective": {"kind": "reach", "states": ["s"]}},
+        ],
+    )
+    def test_field_of_the_wrong_kind_is_input_error(self, doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["fmt", "--model", str(bad)]) == 2
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", MODEL_FILES)
+    def test_every_field_of_every_kind_parses_or_is_rejected(self, name):
+        # Each top-level field, each field of the first transition or edge
+        # and of a game objective, and the same inside every guard document,
+        # replaced by values of every JSON kind: what fmt does either works
+        # or raises one of the errors the CLI turns into exit code 2.
+        with open(model_path(name), encoding="utf-8") as handle:
+            doc = json.load(handle)
+
+        def fields(node, path=()):
+            for key, value in node.items():
+                yield path + (key,)
+                if isinstance(value, list) and value and isinstance(value[0], dict):
+                    yield from (path + (key, 0, k) for k in value[0])
+                elif key == "objective":
+                    yield from (path + (key, k) for k in value)
+                elif key == "guards":
+                    for guard, guard_doc in value.items():
+                        yield from fields(guard_doc, path + (key, guard))
+
+        for path in fields(doc):
+            for value in (5, -1, 1.5, True, None, "x", [], [5], [[1]], {}, {"a": 1}):
+                mutated = json.loads(json.dumps(doc))
+                node = mutated
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                try:
+                    formats.to_document(formats.canonicalize(formats.from_document(mutated)))
+                except HcsError:
+                    pass
 
     def test_verdict_not_conflated_with_exit_code(self, capsys):
         code, verdict = run_cli(capsys, ["empty", "--model", model_path("branching_empty.json")])

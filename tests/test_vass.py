@@ -7,7 +7,7 @@ import pytest
 from hcs import formats
 from hcs.automata import Alphabet, FiniteAutomaton
 from hcs.core import Hcs, member
-from hcs.errors import ContractError, InputError, UnsupportedGuardError
+from hcs.errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 from hcs.models import AB, count_balanced_vass, six_state_two_counter_machine
 from hcs.vass import (
     COVER,
@@ -260,6 +260,68 @@ class TestCoverability:
                     state, counters = replay_transitions(vass, (0, (0,) * dim), result.witness)
                     assert state == target
                     assert all(c >= t for c, t in zip(counters, target_counters))
+
+
+#: Six states, dimension 3; the target v5 has no incoming transition. A
+#: Karp-Miller tree that prunes only nodes equal to an ancestor explores
+#: 582,092 nodes here before it answers "not coverable".
+UNREACHABLE_TARGET_VASS = Vass(
+    AB, 3, tuple(f"v{i}" for i in range(6)), 0, frozenset({5}),
+    (
+        (0, 0, (1, 1, 0), 4), (2, 1, (1, 0, 1), 3), (4, 1, (0, 0, 0), 2), (4, 1, (-1, 1, 0), 3),
+        (3, 0, (0, 1, 0), 3), (4, 0, (1, 0, 0), 3), (3, 1, (0, 0, 0), 1), (4, 1, (1, 0, 1), 0),
+        (1, 1, (0, -1, -1), 3), (4, 1, (1, 1, -1), 4), (1, 1, (-1, 0, 0), 2), (2, 0, (-1, 0, 0), 3),
+        (1, 1, (0, 1, 0), 4), (0, 0, (1, 1, 0), 2), (1, 0, (1, 0, 0), 0), (2, 1, (0, -1, 0), 1),
+    ),
+    COVER,
+)
+
+
+class TestKarpMillerCore:
+    def test_covered_nodes_are_pruned_across_branches(self):
+        instance = CoverabilityInstance(UNREACHABLE_TARGET_VASS, 0, 5, (2, 1, 2))
+        km = decide_coverability(instance, "km")
+        assert not km.coverable and km.nodes_explored <= 100
+        assert not decide_coverability(instance, "backward").coverable
+
+    def test_witnesses_replay_on_the_pruned_tree(self):
+        vass = UNREACHABLE_TARGET_VASS
+        for target in range(5):
+            for needed in ((0, 0, 0), (3, 3, 3), (1, 5, 2)):
+                instance = CoverabilityInstance(vass, 0, target, needed)
+                km = decide_coverability(instance, "km")
+                assert km.coverable == decide_coverability(instance, "backward").coverable
+                if km.coverable:
+                    state, counters = replay_transitions(vass, (0, (0, 0, 0)), km.witness)
+                    assert state == target and all(c >= n for c, n in zip(counters, needed))
+
+    def test_kept_nodes_are_never_removed(self):
+        # Deleting kept nodes that a new node covers, with their subtrees
+        # (Finkel's minimal coverability tree), answers "not coverable" here.
+        vass = Vass(
+            AB, 1, ("s0", "s1", "s2"), 0, frozenset({2}),
+            (
+                (0, 0, (1,), 1), (2, 0, (2,), 1), (2, 1, (1,), 1), (1, 1, (0,), 0),
+                (1, 0, (0,), 0), (2, 0, (2,), 0), (1, 1, (-2,), 0), (0, 1, (1,), 2),
+            ),
+            COVER,
+        )
+        instance = CoverabilityInstance(vass, 0, 2, (3,))
+        assert decide_coverability(instance, "backward").coverable
+        km = decide_coverability(instance, "km")
+        assert km.coverable
+        state, counters = replay_transitions(vass, (0, (0,)), km.witness)
+        assert state == 2 and counters[0] >= 3
+
+    def test_cap_counts_kept_nodes(self):
+        instance = CoverabilityInstance(UNREACHABLE_TARGET_VASS, 0, 5, (2, 1, 2))
+        n = decide_coverability(instance, "km").nodes_explored
+        assert decide_coverability(instance, "km", node_cap=n).nodes_explored == n
+        with pytest.raises(ResourceLimitError, match=f"Karp-Miller tree exceeded {n - 1} nodes"):
+            decide_coverability(instance, "km", node_cap=n - 1)
+        for cap in (0, -1):
+            with pytest.raises(InputError, match="node cap must be at least 1"):
+                decide_coverability(instance, "km", node_cap=cap)
 
 
 class TestProductVass:
