@@ -126,6 +126,80 @@ class FiniteAutomaton:
         )
 
 
+def _trusted(
+    alphabet: Alphabet,
+    states: tuple[str, ...],
+    initial: int,
+    accepting: frozenset[int],
+    transitions: tuple[tuple[int, Optional[int], int], ...],
+    deterministic: bool,
+) -> FiniteAutomaton:
+    """A ``FiniteAutomaton`` built by this library, without re-validation.
+
+    The fields must be valid by construction and ``deterministic`` must be
+    what ``__post_init__`` would derive; the result then compares equal to
+    the one the validating constructor builds.
+    """
+    automaton = object.__new__(FiniteAutomaton)
+    automaton.__dict__.update(
+        alphabet=alphabet,
+        states=states,
+        initial=initial,
+        accepting=accepting,
+        transitions=transitions,
+        deterministic=deterministic,
+    )
+    return automaton
+
+
+def _dfa_rows(dfa: FiniteAutomaton) -> list[list[int]]:
+    """Transition table of a deterministic automaton: ``rows[q][a]`` is the
+    successor of state q on symbol a, or -1 where the move is missing."""
+    rows = [[-1] * len(dfa.alphabet) for _ in dfa.states]
+    for src, label, dst in dfa.transitions:
+        rows[src][label] = dst
+    return rows
+
+
+def _bfs_table(dfa: FiniteAutomaton, max_states: int) -> tuple[list[list[int]], list[bool]]:
+    """The reachable part of a DFA, numbered as ``determinize`` numbers it.
+
+    States are renumbered breadth-first from the initial state with symbols
+    in alphabet order; missing moves go to one sink, numbered where it is
+    first needed and stepping to itself. A new state beyond ``max_states``
+    raises as in ``determinize``. Returns the complete rows and the
+    acceptance flag of each new state.
+    """
+    rows = _dfa_rows(dfa)
+    new = [-1] * len(rows)
+    new[dfa.initial] = 0
+    order = [dfa.initial]  # old state per new number; -1 is the sink
+    table: list[list[int]] = []
+    sink = -1
+    for q in order:
+        if q < 0:
+            table.append([sink] * len(dfa.alphabet))
+            continue
+        out = []
+        for dst in rows[q]:
+            d = new[dst] if dst >= 0 else sink
+            if d < 0:
+                if len(order) >= max_states:
+                    raise ResourceLimitError(
+                        f"determinization exceeded the state cap of {max_states}", max_states
+                    )
+                d = len(order)
+                order.append(dst)
+                if dst >= 0:
+                    new[dst] = d
+                else:
+                    sink = d
+            out.append(d)
+        table.append(out)
+    accepting = dfa.accepting
+    return table, [q in accepting for q in order]
+
+
 def _eps_closure(delta: dict[tuple[int, Optional[int]], list[int]], states: Iterable[int]) -> frozenset[int]:
     closure = set(states)
     stack = list(closure)
@@ -178,12 +252,13 @@ def complete(automaton: FiniteAutomaton, sink_name: str = "sink") -> FiniteAutom
         if (q, a) not in keys and q != sink
     ]
     extra += [(sink, a, sink) for a in range(len(automaton.alphabet))]
-    return FiniteAutomaton(
-        alphabet=automaton.alphabet,
-        states=states,
-        initial=automaton.initial,
-        accepting=automaton.accepting,
-        transitions=automaton.transitions + tuple(extra),
+    return _trusted(
+        automaton.alphabet,
+        states,
+        automaton.initial,
+        automaton.accepting,
+        automaton.transitions + tuple(extra),
+        automaton.deterministic,
     )
 
 
@@ -218,13 +293,7 @@ def determinize(nfa: FiniteAutomaton, max_states: int = DEFAULT_STATE_CAP) -> Fi
                 queue.append(closed)
             transitions.append((src, a, order[closed]))
     accepting = frozenset(order[s] for s in order if s & nfa.accepting)
-    return FiniteAutomaton(
-        alphabet=nfa.alphabet,
-        states=tuple(names),
-        initial=0,
-        accepting=accepting,
-        transitions=tuple(transitions),
-    )
+    return _trusted(nfa.alphabet, tuple(names), 0, accepting, tuple(transitions), True)
 
 
 def _subset_name(subset: frozenset[int], names: Sequence[str]) -> str:
@@ -256,101 +325,104 @@ def minimize(dfa: FiniteAutomaton, max_states: int = DEFAULT_STATE_CAP) -> Finit
     Requires deterministic input. The result is complete, has no two
     language-equivalent states, and is renamed in breadth-first discovery
     order ("m0", "m1", ...) so equal languages yield identical structures.
+    The cap applies to the input's state count, plus one for the sink an
+    incomplete input needs.
     """
     if not dfa.deterministic:
         raise ContractError("minimize requires a deterministic automaton")
-    dfa = complete(dfa, "sink")
-    if len(dfa.states) > max_states:
+    # A DFA is complete iff it has a move for every (state, symbol) pair.
+    n = len(dfa.states) + (len(dfa.transitions) < len(dfa.states) * len(dfa.alphabet))
+    if n > max_states:
         raise ResourceLimitError(f"minimization input exceeds the state cap of {max_states}", max_states)
-    delta = {(src, label): dst for src, label, dst in dfa.transitions}
-    n_sym = len(dfa.alphabet)
-
-    reachable = [dfa.initial]
-    seen = {dfa.initial}
-    for q in reachable:
-        for a in range(n_sym):
-            nxt = delta[(q, a)]
-            if nxt not in seen:
-                seen.add(nxt)
-                reachable.append(nxt)
-
-    block = _hopcroft_blocks(reachable, n_sym, delta, dfa.accepting)
-
-    # BFS over blocks from the initial block, symbols in alphabet order.
-    initial_block = block[dfa.initial]
-    order: dict[int, int] = {initial_block: 0}
-    representative = {initial_block: dfa.initial}
-    queue = deque([initial_block])
-    transitions: list[tuple[int, Optional[int], int]] = []
-    while queue:
-        b = queue.popleft()
-        q = representative[b]
-        for a in range(n_sym):
-            nb = block[delta[(q, a)]]
-            if nb not in order:
-                order[nb] = len(order)
-                representative[nb] = delta[(q, a)]
-                queue.append(nb)
-            transitions.append((order[b], a, order[nb]))
-    accepting = frozenset(order[block[q]] for q in reachable if q in dfa.accepting)
-    return FiniteAutomaton(
-        alphabet=dfa.alphabet,
-        states=tuple(f"m{i}" for i in range(len(order))),
-        initial=0,
-        accepting=accepting,
-        transitions=tuple(transitions),
+    table, accepting = _bfs_table(dfa, max_states)
+    block = _hopcroft_blocks(table, accepting)
+    # The table is in breadth-first order, so blocks in order of their
+    # first member are the quotient's breadth-first order.
+    number = [-1] * len(table)
+    first_member: list[int] = []
+    for q, b in enumerate(block):
+        if number[b] < 0:
+            number[b] = len(first_member)
+            first_member.append(q)
+    transitions = tuple(
+        (i, a, number[block[dst]]) for i, q in enumerate(first_member) for a, dst in enumerate(table[q])
+    )
+    return _trusted(
+        dfa.alphabet,
+        tuple(f"m{i}" for i in range(len(first_member))),
+        0,
+        frozenset(i for i, q in enumerate(first_member) if accepting[q]),
+        transitions,
+        True,
     )
 
 
-def _hopcroft_blocks(
-    reachable: list[int],
-    n_sym: int,
-    delta: dict[tuple[int, Optional[int]], int],
-    accepting: frozenset[int],
-) -> dict[int, int]:
+def _hopcroft_blocks(table: list[list[int]], accepting: list[bool]) -> list[int]:
     """Coarsest language-equivalence partition of a complete DFA.
 
-    Worklist refinement: splitting always enqueues the smaller half, giving
-    the usual n log n behaviour. Returns a block id per reachable state.
+    Hopcroft's algorithm on a refinable partition (Valmari & Lehtinen,
+    STACS 2008): each block is a range of one element array, a state marked
+    by a splitter is swapped to the front of its block, and a split gives a
+    new block id to the smaller side and queues it with every symbol, for
+    O(k n log n) overall. Queuing one side suffices, as for the initial
+    accepting/rejecting pair: the other is the old block, already queued or
+    already split against, minus it. Returns a block id per state.
     """
-    blocks: list[set[int]] = []
-    block_of: dict[int, int] = {}
-    for group in (
-        [q for q in reachable if q in accepting],
-        [q for q in reachable if q not in accepting],
-    ):
-        if group:
-            bid = len(blocks)
-            blocks.append(set(group))
-            for q in group:
-                block_of[q] = bid
-    pre: list[dict[int, list[int]]] = [{} for _ in range(n_sym)]
-    for p in reachable:
-        for a in range(n_sym):
-            pre[a].setdefault(delta[(p, a)], []).append(p)
-    work = deque((bid, a) for bid in range(len(blocks)) for a in range(n_sym))
+    n = len(table)
+    n_sym = len(table[0])
+    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n_sym)]
+    for p, row in enumerate(table):
+        for a, q in enumerate(row):
+            pre[a][q].append(p)
+    elems = [q for q in range(n) if accepting[q]]
+    n_acc = len(elems)
+    elems += [q for q in range(n) if not accepting[q]]
+    loc = [0] * n
+    for i, q in enumerate(elems):
+        loc[q] = i
+    block = [0] * n
+    first, end = [0], [n]
+    if 0 < n_acc < n:
+        first, end = [0, n_acc], [n_acc, n]
+        for i in range(n_acc, n):
+            block[elems[i]] = 1
+    mid = first[:]  # block b's marked states sit in elems[first[b]:mid[b]]
+    work = [(0 if n_acc <= n - n_acc else 1, a) for a in range(n_sym)] if len(first) > 1 else []
     while work:
-        bid, a = work.popleft()
-        moved_in: set[int] = set()
-        for q in blocks[bid]:
-            moved_in.update(pre[a].get(q, ()))
-        affected: dict[int, set[int]] = {}
-        for p in moved_in:
-            affected.setdefault(block_of[p], set()).add(p)
-        for ybid, inside in affected.items():
-            if len(inside) == len(blocks[ybid]):
+        b, a = work.pop()
+        pre_a = pre[a]
+        touched = []
+        for q in elems[first[b] : end[b]]:
+            for p in pre_a[q]:
+                c = block[p]
+                i, j = loc[p], mid[c]
+                if i >= j:
+                    if j == first[c]:
+                        touched.append(c)
+                    other = elems[j]
+                    elems[i], loc[other] = other, i
+                    elems[j], loc[p] = p, j
+                    mid[c] = j + 1
+        for c in touched:
+            lo, j, hi = first[c], mid[c], end[c]
+            if j == hi:
+                mid[c] = lo
                 continue
-            outside = blocks[ybid] - inside
-            small = inside if len(inside) <= len(outside) else outside
-            large = outside if small is inside else inside
-            blocks[ybid] = large
-            new_bid = len(blocks)
-            blocks.append(small)
-            for q in small:
-                block_of[q] = new_bid
-            for b in range(n_sym):
-                work.append((new_bid, b))
-    return block_of
+            new = len(first)
+            if j - lo <= hi - j:
+                first.append(lo)
+                end.append(j)
+                first[c] = mid[c] = j
+            else:
+                first.append(j)
+                end.append(hi)
+                end[c] = j
+                mid[c] = lo
+            mid.append(first[new])
+            for i in range(first[new], end[new]):
+                block[elems[i]] = new
+            work += [(new, x) for x in range(n_sym)]
+    return block
 
 
 def equivalence_counterexample(
@@ -358,34 +430,29 @@ def equivalence_counterexample(
 ) -> Optional[list[str]]:
     """Shortest word accepted by exactly one of the two automata, or None.
 
-    Both automata are determinized and completed; the product is explored
-    breadth-first, so emptiness of both difference languages is checked in
-    one pass.
+    Nondeterministic inputs are determinized; deterministic ones are only
+    renumbered and completed the way ``determinize`` would, so the cap binds
+    at the same state count. The product is explored breadth-first, so
+    emptiness of both difference languages is checked in one pass.
     """
     if a.alphabet.symbols != b.alphabet.symbols:
         raise InputError("equivalence requires identical alphabets")
-    da = determinize(a, max_states)
-    db = determinize(b, max_states)
-    ta = {(src, label): dst for src, label, dst in da.transitions}
-    tb = {(src, label): dst for src, label, dst in db.transitions}
-    start = (da.initial, db.initial)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        qa, qb = pair
-        if (qa in da.accepting) != (qb in db.accepting):
+    ta, fa = _bfs_table(a if a.deterministic else determinize(a, max_states), max_states)
+    tb, fb = _bfs_table(b if b.deterministic else determinize(b, max_states), max_states)
+    width = len(tb)
+    parent: dict[int, tuple[int, int]] = {0: (0, -1)}  # pair qa * width + qb
+    queue = [0]
+    for pair in queue:
+        qa, qb = divmod(pair, width)
+        if fa[qa] != fb[qb]:
             word: list[str] = []
-            node = pair
-            while node != start:
-                node, sym = parent[node]
+            while pair:
+                pair, sym = parent[pair]
                 word.append(a.alphabet.symbols[sym])
-            return list(reversed(word))
-        for sym in range(len(a.alphabet)):
-            nxt = (ta[(qa, sym)], tb[(qb, sym)])
-            if nxt not in seen:
-                seen.add(nxt)
+            return word[::-1]
+        for sym, (na, nb) in enumerate(zip(ta[qa], tb[qb])):
+            nxt = na * width + nb
+            if nxt not in parent:
                 parent[nxt] = (pair, sym)
                 queue.append(nxt)
     return None

@@ -199,7 +199,7 @@ def _cmd_countdown_solve(args) -> int:
     model = formats.load_path(args.model)
     if not isinstance(model, CountdownGame):
         raise InputError("countdown solve expects a countdown document")
-    _emit({"winner": solve_countdown(model)})
+    _emit({"winner": solve_countdown(model, args.max_states)})
     return EXIT_OK
 
 

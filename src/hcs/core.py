@@ -18,6 +18,8 @@ from .automata import (
     DEFAULT_STATE_CAP,
     Alphabet,
     FiniteAutomaton,
+    _dfa_rows,
+    _trusted,
     complete,
     determinize,
 )
@@ -125,9 +127,7 @@ class _RegularTracker:
     def __init__(self, guard: FiniteAutomaton, max_states: int):
         dfa = guard if guard.deterministic else determinize(guard, max_states)
         dfa = complete(dfa)
-        self.delta = [[0] * len(dfa.alphabet) for _ in dfa.states]
-        for src, label, dst in dfa.transitions:
-            self.delta[src][label] = dst
+        self.delta = _dfa_rows(dfa)
         self.accept = dfa.accepting
         self.start = dfa.initial
 
@@ -406,12 +406,13 @@ def determinize_hcs(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> FiniteAuto
         if len(configs) > cap:
             raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
         d += 1
-    return FiniteAutomaton(
-        alphabet=hcs.alphabet,
-        states=tuple(f"d{i}" for i in range(len(configs))),
-        initial=0,
-        accepting=frozenset(d for d in range(len(configs)) if semantics.accepting(d)),
-        transitions=tuple(transitions),
+    return _trusted(
+        hcs.alphabet,
+        tuple(f"d{i}" for i in range(len(configs))),
+        0,
+        frozenset(d for d in range(len(configs)) if semantics.accepting(d)),
+        tuple(transitions),
+        True,
     )
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, complete, determinize
 from .core import Hcs, HcsSemantics, guard_kind
-from .errors import ContractError, InputError, UnsupportedGuardError
+from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 
 REACH = "reach"
 SAFE = "safe"
@@ -197,16 +197,17 @@ def build_arena(game: HcsGame, max_vertices: int = DEFAULT_STATE_CAP) -> Arena:
     )
 
 
-def arena_size_bounds(game: HcsGame) -> tuple[int, int]:
+def arena_size_bounds(game: HcsGame, max_states: int = DEFAULT_STATE_CAP) -> tuple[int, int]:
     """Vertex and edge bounds from the product structure.
 
     Computed over the determinized-and-completed guard DFAs actually used in
     the arena: |Q| * (sum of guard state counts)^m and |T| * (sum of guard
-    transition counts)^m.
+    transition counts)^m. ``max_states`` caps each determinization.
     """
     hcs = game.hcs
     guard_dfas = [
-        complete(g if g.deterministic else determinize(g)) for _, g in sorted(hcs.guards.items())
+        complete(g if g.deterministic else determinize(g, max_states))
+        for _, g in sorted(hcs.guards.items())
     ]
     m = len(guard_dfas)
     q_sum = sum(len(g.states) for g in guard_dfas)
@@ -343,13 +344,20 @@ class CountdownGame:
                 raise InputError("edge weights must be positive")
 
 
-def solve_countdown(game: CountdownGame) -> int:
+def solve_countdown(game: CountdownGame, max_states: int = DEFAULT_STATE_CAP) -> int:
     """Direct fixpoint over (state, remaining value); returns the winner.
 
     Player 0 wins (s, 0) outright; at (s, v) they win iff some offered
     weight d <= v has every d-successor winning at v - d. With no playable
-    weight the counter can never hit zero, so Player 0 loses.
+    weight the counter can never hit zero, so Player 0 loses. The table has
+    (target + 1) * |states| cells; more than ``max_states`` raises before
+    any is allocated.
     """
+    cells = (game.target + 1) * len(game.states)
+    if cells > max_states:
+        raise ResourceLimitError(
+            f"countdown table of {cells} cells exceeds the state cap of {max_states}", max_states
+        )
     by_weight: dict[int, dict[int, list[int]]] = {}
     for src, weight, dst in game.edges:
         by_weight.setdefault(src, {}).setdefault(weight, []).append(dst)

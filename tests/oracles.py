@@ -510,3 +510,108 @@ def cover_vass_member(vass, word):
         COVER,
     )
     return decide_coverability(CoverabilityInstance(product, vass.initial, target, zero), "backward").coverable
+
+
+def _reference_subset_dfa(automaton, max_states):
+    """Powerset construction over the raw transition tuples, as ``determinize``
+    did before its DFA fast path: breadth-first, symbols in order, the empty
+    subset an ordinary state. Returns (delta dict, accepting set)."""
+    from hcs.errors import ResourceLimitError
+
+    n_sym = len(automaton.alphabet)
+    moves = {}
+    for src, label, dst in automaton.transitions:
+        moves.setdefault((src, label), set()).add(dst)
+
+    def closure(states):
+        seen = set(states)
+        todo = list(states)
+        while todo:
+            for dst in moves.get((todo.pop(), None), ()):
+                if dst not in seen:
+                    seen.add(dst)
+                    todo.append(dst)
+        return frozenset(seen)
+
+    start = closure({automaton.initial})
+    order = {start: 0}
+    queue = deque([start])
+    delta = {}
+    while queue:
+        subset = queue.popleft()
+        for a in range(n_sym):
+            nxt = closure({dst for q in subset for dst in moves.get((q, a), ())})
+            if nxt not in order:
+                if len(order) >= max_states:
+                    raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
+                order[nxt] = len(order)
+                queue.append(nxt)
+            delta[(order[subset], a)] = order[nxt]
+    return delta, {i for s, i in order.items() if s & automaton.accepting}
+
+
+def reference_equivalence(a, b, max_states=1_000_000):
+    """Shortest word accepted by exactly one automaton, or None: both are
+    determinized, and their product is walked breadth-first over dicts."""
+    da, fa = _reference_subset_dfa(a, max_states)
+    db, fb = _reference_subset_dfa(b, max_states)
+    parent = {(0, 0): None}
+    queue = deque([(0, 0)])
+    while queue:
+        pair = queue.popleft()
+        if (pair[0] in fa) != (pair[1] in fb):
+            word = []
+            while parent[pair] is not None:
+                pair, sym = parent[pair]
+                word.append(a.alphabet.symbols[sym])
+            return word[::-1]
+        for sym in range(len(a.alphabet)):
+            nxt = (da[(pair[0], sym)], db[(pair[1], sym)])
+            if nxt not in parent:
+                parent[nxt] = (pair, sym)
+                queue.append(nxt)
+    return None
+
+
+def reference_minimize(dfa, max_states=1_000_000):
+    """Moore partition refinement of a DFA, completed with a sink where a move
+    is missing, renamed "m0", "m1", ... in breadth-first order over classes.
+    Returns (states, initial, accepting, transitions) as ``minimize`` builds
+    them."""
+    from hcs.errors import ResourceLimitError
+
+    n, n_sym = len(dfa.states), len(dfa.alphabet)
+    delta = {(src, label): dst for src, label, dst in dfa.transitions}
+    if any((q, a) not in delta for q in range(n) for a in range(n_sym)):
+        delta.update({(q, a): n for q in range(n + 1) for a in range(n_sym) if (q, a) not in delta})
+        n += 1
+    if n > max_states:
+        raise ResourceLimitError(f"minimization input exceeds the state cap of {max_states}", max_states)
+    reachable = [dfa.initial]
+    for q in reachable:
+        for a in range(n_sym):
+            if delta[(q, a)] not in reachable:
+                reachable.append(delta[(q, a)])
+    cls = {q: int(q in dfa.accepting) for q in reachable}
+    while True:
+        signature = {q: (cls[q],) + tuple(cls[delta[(q, a)]] for a in range(n_sym)) for q in reachable}
+        ids = {s: i for i, s in enumerate(sorted(set(signature.values())))}
+        refined = {q: ids[signature[q]] for q in reachable}
+        if len(ids) == len(set(cls.values())):
+            break
+        cls = refined
+    order = {cls[dfa.initial]: 0}
+    member = {cls[dfa.initial]: dfa.initial}
+    queue = deque([cls[dfa.initial]])
+    transitions = []
+    while queue:
+        c = queue.popleft()
+        for a in range(n_sym):
+            dst = delta[(member[c], a)]
+            if cls[dst] not in order:
+                order[cls[dst]] = len(order)
+                member[cls[dst]] = dst
+                queue.append(cls[dst])
+            transitions.append((order[c], a, order[cls[dst]]))
+    accepting = frozenset(order[c] for c, q in member.items() if q in dfa.accepting)
+    return tuple(f"m{i}" for i in range(len(order))), 0, accepting, tuple(transitions)

@@ -1,7 +1,11 @@
+import glob
+import itertools
+import os
 import random
 
 import pytest
 
+from hcs import formats
 from hcs.automata import (
     Alphabet,
     FiniteAutomaton,
@@ -13,11 +17,19 @@ from hcs.automata import (
     is_empty,
     minimize,
 )
-from hcs.bench import cycle_dfa
+from hcs.bench import cycle_dfa, prime_family
+from hcs.core import Hcs, determinize_hcs, guard_kind
 from hcs.errors import ContractError, InputError, ResourceLimitError
+from hcs.games import HcsGame
 from hcs.models import guard_contains_aa, guard_length_multiple_of_three
 
-from oracles import NfaStepper, all_words, first_disagreement
+from oracles import (
+    NfaStepper,
+    all_words,
+    first_disagreement,
+    reference_equivalence,
+    reference_minimize,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -32,12 +44,41 @@ def random_nfa(rng, n_states, n_symbols=2, eps=False):
         )
     accepting = frozenset(q for q in range(n_states) if rng.random() < 0.4)
     return FiniteAutomaton(
-        alphabet=Alphabet(tuple("ab"[:n_symbols])),
+        alphabet=Alphabet(tuple("abc"[:n_symbols])),
         states=states,
         initial=0,
         accepting=accepting,
         transitions=tuple(sorted(transitions, key=lambda t: (t[0], -1 if t[1] is None else t[1], t[2]))),
     )
+
+
+def random_dfa(rng, n_states, n_symbols):
+    """A DFA with some moves missing and, from a random initial state, often
+    some states unreachable."""
+    transitions = tuple(
+        (q, a, rng.randrange(n_states))
+        for q in range(n_states)
+        for a in range(n_symbols)
+        if rng.random() < 0.85
+    )
+    return FiniteAutomaton(
+        alphabet=Alphabet(tuple("abc"[:n_symbols])),
+        states=tuple(f"q{i}" for i in range(n_states)),
+        initial=rng.randrange(n_states),
+        accepting=frozenset(q for q in range(n_states) if rng.random() < 0.4),
+        transitions=transitions,
+    )
+
+
+def random_automaton(rng, n_symbols):
+    """A DFA as in ``random_dfa`` or an NFA with epsilon moves, evenly."""
+    if rng.random() < 0.5:
+        return random_dfa(rng, rng.randint(1, 8), n_symbols)
+    return random_nfa(rng, rng.randint(1, 5), n_symbols, eps=True)
+
+
+def fields(automaton):
+    return automaton.states, automaton.initial, automaton.accepting, automaton.transitions
 
 
 class TestAlphabet:
@@ -228,3 +269,102 @@ class TestEquivalence:
             assert verdict == equivalent(b, a)
             words_agree = all(accepts(a, w) == accepts(b, w) for w in all_words("ab", 8))
             assert verdict == words_agree
+
+
+class TestDifferential:
+    """``minimize`` and ``equivalence_counterexample`` against the Moore and
+    determinize-both references of oracles.py, on seeded random automata."""
+
+    def test_minimize_matches_moore_refinement(self):
+        rng = random.Random(1301)
+        for _ in range(1200):
+            dfa = random_dfa(rng, rng.randint(1, 9), rng.randint(1, 3))
+            small = minimize(dfa)
+            assert fields(small) == reference_minimize(dfa), dfa
+            assert small.deterministic
+
+    def test_equivalence_matches_determinize_both(self):
+        rng = random.Random(1302)
+        for i in range(1200):
+            n_sym = rng.randint(1, 3)
+            a = random_automaton(rng, n_sym)
+            if i % 3 == 0:
+                b = random_automaton(rng, n_sym)
+            else:
+                b = minimize(a) if a.deterministic else determinize(a)
+                if i % 3 == 2:
+                    # Flip one state's acceptance: often equal, else a long witness.
+                    flip = frozenset({rng.randrange(len(b.states))})
+                    b = FiniteAutomaton(b.alphabet, b.states, b.initial, b.accepting ^ flip, b.transitions)
+                if rng.random() < 0.5:
+                    a, b = b, a
+            assert equivalence_counterexample(a, b) == reference_equivalence(a, b), (a, b)
+
+    def test_caps_bind_at_the_same_state_count(self):
+        rng = random.Random(1303)
+        for _ in range(300):
+            n_sym = rng.randint(1, 3)
+            dfa = random_dfa(rng, rng.randint(1, 9), n_sym)
+            n = len(dfa.states) + (not dfa.is_complete())
+            assert fields(minimize(dfa, n)) == reference_minimize(dfa, n)
+            for check in (minimize, reference_minimize):
+                with pytest.raises(ResourceLimitError, match="minimization input exceeds"):
+                    check(dfa, n - 1)
+
+            a, b = random_automaton(rng, n_sym), random_automaton(rng, n_sym)
+            for cap in itertools.count(1):
+                try:
+                    expected = reference_equivalence(a, b, cap)
+                    break
+                except ResourceLimitError:
+                    pass
+            assert equivalence_counterexample(a, b, cap) == expected
+            if cap > 1:
+                with pytest.raises(ResourceLimitError, match=f"state cap of {cap - 1}$"):
+                    equivalence_counterexample(a, b, cap - 1)
+
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
+
+
+def _library_results():
+    """Every automaton that determinize, determinize_hcs, minimize and complete
+    build from the shipped models and from prime_family(1..5)."""
+    hcss = [prime_family(k) for k in range(1, 6)]
+    for path in sorted(glob.glob(os.path.join(MODELS, "*.json"))):
+        model = formats.load_path(path)
+        model = model.hcs if isinstance(model, HcsGame) else model
+        if isinstance(model, Hcs):
+            hcss.append(model)
+    automata = []
+    for hcs in hcss:
+        automata.append(hcs.underlying)
+        automata += [g for g in hcs.guards.values() if isinstance(g, FiniteAutomaton)]
+        if all(guard_kind(g) != "vass" for g in hcs.guards.values()):
+            dfa = determinize_hcs(hcs)
+            yield dfa
+            yield minimize(dfa)
+    for automaton in automata:
+        dfa = determinize(automaton)
+        yield from (complete(automaton), dfa, minimize(dfa))
+        if automaton.deterministic:
+            yield minimize(automaton)
+
+
+def test_library_results_pass_validation_unchanged():
+    count = 0
+    for built in _library_results():
+        rebuilt = FiniteAutomaton(built.alphabet, built.states, built.initial, built.accepting, built.transitions)
+        assert rebuilt == built
+        assert rebuilt.deterministic == built.deterministic
+        count += 1
+    assert count >= 90
+
+
+def test_prime_family_6_minimizes_to_l_plus_k_plus_1():
+    """L = 2 * 3 * 5 * 7 * 11 * 13 = 30,030 residues, k = 6 delimiters and a sink."""
+    dfa = determinize_hcs(prime_family(6))
+    small = minimize(dfa)
+    assert len(dfa.states) == 30_094
+    assert len(small.states) == 30_030 + 6 + 1
+    assert equivalence_counterexample(dfa, small) is None

@@ -389,6 +389,16 @@ class TestExitCodes:
         )
         capsys.readouterr()
 
+    def test_countdown_table_cap_is_exit_three(self, tmp_path, capsys):
+        doc = json.loads(open(model_path("countdown_loop2_target3.json")).read())
+        doc["target"] = 10**11
+        path = tmp_path / "huge_target.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["countdown", "solve", "--model", str(path)]) == 3
+        small = model_path("countdown_loop2_target3.json")
+        assert cli.main(["countdown", "solve", "--model", small, "--max-states", "3"]) == 3
+        assert "resource limit" in capsys.readouterr().err
+
     def test_non_positive_cap_is_usage_error(self, capsys):
         for argv in (
             ["vass", "cover", "--model", model_path("count_balanced_vass.json"), "--target", "draining"],

@@ -7,7 +7,7 @@ import pytest
 from hcs import formats
 from hcs.automata import Alphabet, FiniteAutomaton
 from hcs.core import Hcs, HcsSemantics
-from hcs.errors import ContractError, InputError
+from hcs.errors import ContractError, InputError, ResourceLimitError
 from hcs.games import (
     Arena,
     CountdownGame,
@@ -96,6 +96,13 @@ class TestArena:
         v_bound, e_bound = arena_size_bounds(game)
         assert len(arena.vertices) <= v_bound
         assert len(arena.edges) <= e_bound
+
+    def test_size_bounds_cap_the_guard_determinization(self):
+        # The contains_aa guard is an NFA whose subset DFA has four states.
+        game = reach_game(branching_nonempty_hcs(), (0, 1, 0, 1, 0), {4})
+        assert arena_size_bounds(game, max_states=4) == arena_size_bounds(game)
+        with pytest.raises(ResourceLimitError, match="state cap of 3"):
+            arena_size_bounds(game, max_states=3)
 
 
 class TestSolvers:
@@ -294,6 +301,16 @@ class TestCountdownSolver:
 
     def test_stuck_player_zero_loses(self):
         assert solve_countdown(cg(["A"], 0, 1, [(0, 2, 0)])) == 1
+
+    def test_table_cap_raises_before_allocating(self):
+        # (target + 1) * |states| cells: 10^11 targets fail fast, not out of memory.
+        huge = cg(["A", "B"], 0, 10**11, [(0, 2, 1), (1, 2, 0)])
+        with pytest.raises(ResourceLimitError, match="200000000002 cells"):
+            solve_countdown(huge)
+        game = cg(["A", "B"], 0, 4, [(0, 2, 1), (1, 2, 0)])
+        assert solve_countdown(game, max_states=10) == 0
+        with pytest.raises(ResourceLimitError):
+            solve_countdown(game, max_states=9)
 
 
 def enumerate_countdowns(states, weights, targets, max_edges_per_state=2):
