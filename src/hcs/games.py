@@ -197,17 +197,16 @@ def build_arena(game: HcsGame, max_vertices: int = DEFAULT_STATE_CAP) -> Arena:
     )
 
 
-def arena_size_bounds(game: HcsGame, max_states: int = DEFAULT_STATE_CAP) -> tuple[int, int]:
+def arena_size_bounds(game: HcsGame) -> tuple[int, int]:
     """Vertex and edge bounds from the product structure.
 
     Computed over the determinized-and-completed guard DFAs actually used in
     the arena: |Q| * (sum of guard state counts)^m and |T| * (sum of guard
-    transition counts)^m. ``max_states`` caps each determinization.
+    transition counts)^m.
     """
     hcs = game.hcs
     guard_dfas = [
-        complete(g if g.deterministic else determinize(g, max_states))
-        for _, g in sorted(hcs.guards.items())
+        complete(g if g.deterministic else determinize(g)) for _, g in sorted(hcs.guards.items())
     ]
     m = len(guard_dfas)
     q_sum = sum(len(g.states) for g in guard_dfas)
@@ -350,8 +349,10 @@ def solve_countdown(game: CountdownGame, max_states: int = DEFAULT_STATE_CAP) ->
     Player 0 wins (s, 0) outright; at (s, v) they win iff some offered
     weight d <= v has every d-successor winning at v - d. With no playable
     weight the counter can never hit zero, so Player 0 loses. The table has
-    (target + 1) * |states| cells; more than ``max_states`` raises before
-    any is allocated.
+    (target + 1) * |states| cells; more than ``max_states`` raises
+    ``ResourceLimitError`` before any is allocated, so a game of more than
+    ``DEFAULT_STATE_CAP`` (1,000,000) cells needs an explicit larger
+    ``max_states``.
     """
     cells = (game.target + 1) * len(game.states)
     if cells > max_states:

@@ -513,8 +513,9 @@ def cover_vass_member(vass, word):
 
 
 def _reference_subset_dfa(automaton, max_states):
-    """Powerset construction over the raw transition tuples, as ``determinize``
-    did before its DFA fast path: breadth-first, symbols in order, the empty
+    """Powerset construction over the raw transition tuples, as
+    ``equivalence_counterexample`` determinized both inputs before DFA inputs
+    were renumbered in place: breadth-first, symbols in order, the empty
     subset an ordinary state. Returns (delta dict, accepting set)."""
     from hcs.errors import ResourceLimitError
 

@@ -97,13 +97,6 @@ class TestArena:
         assert len(arena.vertices) <= v_bound
         assert len(arena.edges) <= e_bound
 
-    def test_size_bounds_cap_the_guard_determinization(self):
-        # The contains_aa guard is an NFA whose subset DFA has four states.
-        game = reach_game(branching_nonempty_hcs(), (0, 1, 0, 1, 0), {4})
-        assert arena_size_bounds(game, max_states=4) == arena_size_bounds(game)
-        with pytest.raises(ResourceLimitError, match="state cap of 3"):
-            arena_size_bounds(game, max_states=3)
-
 
 class TestSolvers:
     def test_initial_in_target(self):
