@@ -7,9 +7,8 @@ construction and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceLimitError
 
@@ -111,13 +110,6 @@ class FiniteAutomaton:
         except ValueError:
             raise InputError(f"unknown state {name!r}") from None
 
-    def transition_map(self) -> dict[tuple[int, Optional[int]], list[int]]:
-        """Map (state, label) -> successor list, built fresh on each call."""
-        out: dict[tuple[int, Optional[int]], list[int]] = {}
-        for src, label, dst in self.transitions:
-            out.setdefault((src, label), []).append(dst)
-        return out
-
     def is_complete(self) -> bool:
         """True if every (state, symbol) pair has at least one transition."""
         keys = {(src, label) for src, label, _ in self.transitions if label is not None}
@@ -200,16 +192,190 @@ def _bfs_table(dfa: FiniteAutomaton, max_states: int) -> tuple[list[list[int]], 
     return table, [q in accepting for q in order]
 
 
-def _eps_closure(delta: dict[tuple[int, Optional[int]], list[int]], states: Iterable[int]) -> frozenset[int]:
-    closure = set(states)
-    stack = list(closure)
-    while stack:
-        q = stack.pop()
-        for nxt in delta.get((q, None), ()):
-            if nxt not in closure:
-                closure.add(nxt)
-                stack.append(nxt)
-    return frozenset(closure)
+class SubsetDfa:
+    """The subset construction of an automaton as a lazily built DFA.
+
+    A DFA state is an int standing for an epsilon-closed subset of the
+    automaton's states paired with a guard-product id; ``configs`` lists the
+    pairs by id. A step is computed the first time it is asked for and then
+    read from a table. Every empty subset is the one dead state, which steps
+    to itself.
+
+    ``guard_at`` maps transition indices to guard positions. A transition
+    with a guard is taken only where ``admits`` holds, and each symbol read
+    moves the guard product by ``advance``. Here the only guard product is 0
+    and both are trivial; ``core.HcsSemantics`` supplies real guards.
+    """
+
+    def __init__(self, automaton: FiniteAutomaton, guard_at: Optional[dict[int, int]] = None):
+        self.automaton = automaton
+        guard_at = guard_at or {}
+        # (state, symbol) -> [(destination, guard position or None)]
+        self.sigma_edges: dict[tuple[int, int], list[tuple[int, Optional[int]]]] = {}
+        self.eps_edges: dict[int, list[tuple[int, Optional[int]]]] = {}
+        for t, (src, label, dst) in enumerate(automaton.transitions):
+            if label is None:
+                self.eps_edges.setdefault(src, []).append((dst, guard_at.get(t)))
+            else:
+                self.sigma_edges.setdefault((src, label), []).append((dst, guard_at.get(t)))
+        self._width = len(automaton.alphabet)
+        # Per-state sigma edges sorted by symbol, filled on first use.
+        self._moves: Optional[list[list[tuple[int, int, Optional[int]]]]] = None
+        # The lazy DFA: (subset, product id) by state id, and its step table
+        # (d * |alphabet| + a -> state id, None until asked for).
+        self.configs: list[tuple[frozenset[int], Optional[int]]] = []
+        self._config_ids: dict[tuple[frozenset[int], Optional[int]], int] = {}
+        self._delta: list[Optional[int]] = []
+        self._unfilled = [None] * self._width
+
+    # -- the guard product, trivial here --
+
+    def initial_product(self) -> int:
+        return 0
+
+    def advance(self, p: int, a: int) -> int:
+        return p
+
+    def admits(self, p: int, g: int) -> bool:
+        return True
+
+    # -- the lazy DFA --
+
+    def initial(self) -> int:
+        p = self.initial_product()
+        return self._state(self.closure({self.automaton.initial}, p), p)
+
+    def step(self, d: int, symbol: str | int) -> int:
+        a = symbol if isinstance(symbol, int) else self.automaton.alphabet.index(symbol)
+        i = d * self._width + a
+        nxt = self._delta[i]
+        if nxt is None:
+            subset, p = self.configs[d]
+            targets = set()
+            for q in subset:
+                for dst, g in self.sigma_edges.get((q, a), ()):
+                    if g is None or self.admits(p, g):
+                        targets.add(dst)
+            if targets:
+                p = self.advance(p, a)
+                closed = self.closure(targets, p) if self.eps_edges else frozenset(targets)
+                nxt = self._state(closed, p)
+            else:
+                nxt = self._state(frozenset(), None)
+            self._delta[i] = nxt
+        return nxt
+
+    def accepting(self, d: int) -> bool:
+        return not self.automaton.accepting.isdisjoint(self.configs[d][0])
+
+    def accepts(self, word: Sequence[str]) -> bool:
+        """Walk the lazy DFA along ``word``, given by symbol names."""
+        step = self.step
+        d = self.initial()
+        for a in map(self.automaton.alphabet.index, word):
+            d = step(d, a)
+        return self.accepting(d)
+
+    def _state(self, subset: frozenset[int], p: Optional[int]) -> int:
+        key = (subset, p)
+        d = self._config_ids.get(key)
+        if d is None:
+            d = self._config_ids[key] = len(self.configs)
+            self.configs.append(key)
+            self._delta += self._unfilled if subset else [d] * self._width
+        return d
+
+    def closure(self, seen: set[int], p: int) -> frozenset[int]:
+        """Close ``seen`` in place under the epsilon moves admitted in ``p``."""
+        todo = list(seen)
+        while todo:
+            q = todo.pop()
+            for dst, g in self.eps_edges.get(q, ()):
+                if dst not in seen and (g is None or self.admits(p, g)):
+                    seen.add(dst)
+                    todo.append(dst)
+        return frozenset(seen)
+
+    def build(self, max_states: int, name: Callable[[int], str]) -> FiniteAutomaton:
+        """The lazy DFA of a fresh instance, built to completion.
+
+        States are numbered breadth-first with symbols in alphabet order and
+        named by ``name``; the dead state, if reached, is the sink. Reaching
+        more than ``max_states`` states raises (the start state is never
+        refused).
+        """
+        step = self.step
+        configs = self.configs
+        symbols = range(self._width)
+        cap = max(max_states, 1)
+        transitions: list[tuple[int, Optional[int], int]] = []
+        d = self.initial()
+        while d < len(configs):
+            transitions += [(d, a, step(d, a)) for a in symbols]
+            if len(configs) > cap:
+                raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
+            d += 1
+        return _trusted(
+            self.automaton.alphabet,
+            tuple(map(name, range(len(configs)))),
+            0,
+            frozenset(d for d in range(len(configs)) if self.accepting(d)),
+            tuple(transitions),
+            True,
+        )
+
+    # -- the product of one state with the guard product --
+
+    def successors(self, q: int, p: int) -> list[tuple[Optional[int], int, int]]:
+        """Admissible moves out of (q, p) as (label, destination, product id).
+
+        Epsilon moves come first and keep the guard product; sigma moves
+        follow by symbol, each group in transition order.
+        """
+        if self._moves is None:
+            self._moves = [[] for _ in self.automaton.states]
+            for (src, a), targets in sorted(self.sigma_edges.items()):
+                self._moves[src] += [(a, dst, g) for dst, g in targets]
+        moves = [
+            (None, dst, p)
+            for dst, g in self.eps_edges.get(q, ())
+            if g is None or self.admits(p, g)
+        ]
+        last = nxt = None
+        for a, dst, g in self._moves[q]:
+            if g is None or self.admits(p, g):
+                if a != last:
+                    last, nxt = a, self.advance(p, a)
+                moves.append((a, dst, nxt))
+        return moves
+
+    def explore(self, max_states: int, limit: str, stop: frozenset[int] = frozenset()):
+        """Breadth-first exploration of the reachable (state, product id) pairs.
+
+        Returns ``(vertices, edges)``: vertices in discovery order and edges
+        as (source, label, target) vertex triples, grouped by source in
+        vertex order. Returns None as soon as a vertex whose state is in
+        ``stop`` is dequeued. Discovering vertex number ``max_states + 1``
+        raises ResourceLimitError with ``limit`` formatted by the cap.
+        """
+        n = len(self.automaton.states)
+        start = (self.automaton.initial, self.initial_product())
+        order = {start[1] * n + start[0]: 0}  # vertex key p * n + q
+        vertices = [start]
+        edges: list[tuple[int, Optional[int], int]] = []
+        for v, (q, p) in enumerate(vertices):
+            if q in stop:
+                return None
+            for label, dst, nxt in self.successors(q, p):
+                key = nxt * n + dst
+                w = order.get(key)
+                if w is None:
+                    if len(vertices) >= max_states:
+                        raise ResourceLimitError(limit.format(max_states), max_states)
+                    w = order[key] = len(vertices)
+                    vertices.append((dst, nxt))
+                edges.append((v, label, w))
+        return vertices, edges
 
 
 def accepts(automaton: FiniteAutomaton, word: Sequence[str]) -> bool:
@@ -218,17 +384,7 @@ def accepts(automaton: FiniteAutomaton, word: Sequence[str]) -> bool:
     Epsilon moves are free; symbols are given by name and must belong to the
     automaton's alphabet.
     """
-    indices = [automaton.alphabet.index(sym) for sym in word]
-    delta = automaton.transition_map()
-    current = _eps_closure(delta, [automaton.initial])
-    for a in indices:
-        nxt: set[int] = set()
-        for q in current:
-            nxt.update(delta.get((q, a), ()))
-        current = _eps_closure(delta, nxt)
-        if not current:
-            return False
-    return bool(current & automaton.accepting)
+    return SubsetDfa(automaton).accepts(word)
 
 
 def complete(automaton: FiniteAutomaton, sink_name: str = "sink") -> FiniteAutomaton:
@@ -265,35 +421,13 @@ def complete(automaton: FiniteAutomaton, sink_name: str = "sink") -> FiniteAutom
 def determinize(nfa: FiniteAutomaton, max_states: int = DEFAULT_STATE_CAP) -> FiniteAutomaton:
     """Powerset construction; the result is deterministic and complete.
 
-    Subset states are explored breadth-first with symbols in alphabet order,
-    so the output ordering is canonical. The empty subset becomes an explicit
-    sink, which keeps the reachable state count at or below 2^|Q|.
+    The lazy ``SubsetDfa`` built to completion: subset states are numbered
+    breadth-first with symbols in alphabet order, so the output ordering is
+    canonical, and each is named by its subset. The empty subset becomes an
+    explicit sink, which keeps the reachable state count at or below 2^|Q|.
     """
-    delta = nfa.transition_map()
-    start = _eps_closure(delta, [nfa.initial])
-    order: dict[frozenset[int], int] = {start: 0}
-    names = [_subset_name(start, nfa.states)]
-    transitions: list[tuple[int, Optional[int], int]] = []
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = order[subset]
-        for a in range(len(nfa.alphabet)):
-            nxt: set[int] = set()
-            for q in subset:
-                nxt.update(delta.get((q, a), ()))
-            closed = _eps_closure(delta, nxt)
-            if closed not in order:
-                if len(order) >= max_states:
-                    raise ResourceLimitError(
-                        f"determinization exceeded the state cap of {max_states}", max_states
-                    )
-                order[closed] = len(order)
-                names.append(_subset_name(closed, nfa.states))
-                queue.append(closed)
-            transitions.append((src, a, order[closed]))
-    accepting = frozenset(order[s] for s in order if s & nfa.accepting)
-    return _trusted(nfa.alphabet, tuple(names), 0, accepting, tuple(transitions), True)
+    dfa = SubsetDfa(nfa)
+    return dfa.build(max_states, lambda d: _subset_name(dfa.configs[d][0], nfa.states))
 
 
 def _subset_name(subset: frozenset[int], names: Sequence[str]) -> str:
@@ -304,19 +438,9 @@ def _subset_name(subset: frozenset[int], names: Sequence[str]) -> str:
 
 def is_empty(automaton: FiniteAutomaton) -> bool:
     """True iff no accepting state is reachable from the initial state."""
-    delta = automaton.transition_map()
-    seen = {automaton.initial}
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        if q in automaton.accepting:
-            return False
-        for a in [None] + list(range(len(automaton.alphabet))):
-            for nxt in delta.get((q, a), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return True
+    # One vertex per state at most, so the cap never binds.
+    n = len(automaton.states)
+    return SubsetDfa(automaton).explore(n, "", automaton.accepting) is not None
 
 
 def minimize(dfa: FiniteAutomaton, max_states: int = DEFAULT_STATE_CAP) -> FiniteAutomaton:

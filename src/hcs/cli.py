@@ -17,10 +17,10 @@ from .automata import DEFAULT_STATE_CAP, FiniteAutomaton, accepts, determinize, 
 from .automata import is_empty as automaton_is_empty
 from .core import Hcs, determinize_hcs, guard_kind, member
 from .core import is_empty as hcs_is_empty
-from .errors import ContractError, HcsError, InputError, ResourceLimitError
+from .errors import HcsError, InputError, ResourceLimitError
 from .games import CountdownGame, HcsGame, countdown_to_hcs_game, normalize_countdown
 from .games import solve_countdown, solve_hcs_game
-from .vass import COVER, CoverabilityInstance, Vass, bounded_accepted_word, decide_coverability
+from .vass import COVER, CoverabilityInstance, Vass, bounded_accepted_word, decide_coverability, vass_accepts
 from .vassguards import TwoCounterMachine, bounded_reach_empty, hcs_cover_empty, two_cm_to_hcs
 
 EXIT_OK = 0
@@ -58,8 +58,6 @@ def _cmd_member(args) -> int:
     elif isinstance(model, Hcs):
         verdict = member(model, word, args.max_states)
     elif isinstance(model, Vass):
-        from .vass import vass_accepts
-
         verdict = vass_accepts(model, word, args.max_states)
     else:
         raise InputError("member expects an automaton, HCS, or VASS document")
@@ -124,7 +122,7 @@ def _cmd_empty(args) -> int:
                 )
             verdict = hcs_cover_empty(
                 model,
-                engine=engine if engine in ("product", "onthefly") else "onthefly",
+                engine=engine,
                 node_cap=args.max_states,
                 assume_non_dying=args.assume_non_dying,
             )
@@ -176,7 +174,7 @@ def _cmd_game_solve(args) -> int:
         raise InputError("game solve expects a game document")
     solution = solve_hcs_game(model, args.max_states)
     arena = solution.arena
-    symbols = arena and model.hcs.alphabet.symbols
+    symbols = model.hcs.alphabet.symbols
 
     def edge_doc(edge_index: int) -> list:
         src, label, dst = arena.edges[edge_index]
@@ -392,9 +390,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as err:
         _diag(args, f"resource limit: {err}")
         return EXIT_RESOURCE
-    except (InputError, ContractError) as err:
-        _diag(args, f"error: {err}")
-        return EXIT_INPUT
     except HcsError as err:
         _diag(args, f"error: {err}")
         return EXIT_INPUT

@@ -18,12 +18,12 @@ from .automata import (
     DEFAULT_STATE_CAP,
     Alphabet,
     FiniteAutomaton,
+    SubsetDfa,
     _dfa_rows,
-    _trusted,
     complete,
     determinize,
 )
-from .errors import InputError, ResourceLimitError, UnsupportedGuardError
+from .errors import InputError, UnsupportedGuardError
 from .vass import Vass
 
 Guard = Union[FiniteAutomaton, Vass, "Hcs"]
@@ -156,28 +156,14 @@ class _VassTracker:
         return any(vassmod.config_accepting(self.guard, q, c) for q, c in configs)
 
 
-class _NestedTracker:
-    def __init__(self, guard: "Hcs", max_states: int):
-        self.semantics = HcsSemantics(guard, max_states)
+class HcsSemantics(SubsetDfa):
+    """Stepping machinery for one HCS: the lazy subset DFA of its underlying
+    automaton over an interned product of guard runtimes.
 
-    def initial(self):
-        return self.semantics.initial()
-
-    def step(self, state, symbol: int):
-        return self.semantics.step(state, symbol)
-
-    def accepting(self, state) -> bool:
-        return self.semantics.accepting(state)
-
-
-class HcsSemantics:
-    """Stepping machinery for one HCS: a lazily built DFA over an interned
-    product of guard runtimes.
-
-    A DFA state is an int standing for an epsilon-closed subset of underlying
-    states paired with a guard-product id; ``configs`` lists the pairs by id.
-    A step is computed the first time it is asked for and then read from a
-    table. Every empty subset is the one dead state, which steps to itself.
+    ``products`` lists the guard-runtime tuples by product id; ``advance``
+    and ``admits`` are memoized in tables that fill as the lazy DFA and
+    ``explore`` reach them. An ``HcsSemantics`` is itself a guard tracker
+    (``initial``/``step``/``accepting``) for a nested guard.
     """
 
     def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
@@ -193,83 +179,12 @@ class HcsSemantics:
             elif kind == VASS:
                 self.trackers.append(_VassTracker(guard, max_states))
             else:
-                self.trackers.append(_NestedTracker(guard, max_states))
-        # (state, symbol) -> [(destination, guard position or None)]
-        self.sigma_edges: dict[tuple[int, int], list[tuple[int, Optional[int]]]] = {}
-        self.eps_edges: dict[int, list[tuple[int, Optional[int]]]] = {}
-        for t, (src, label, dst) in enumerate(hcs.underlying.transitions):
-            name = hcs.guarded.get(t)
-            g = None if name is None else index_of[name]
-            if label is None:
-                self.eps_edges.setdefault(src, []).append((dst, g))
-            else:
-                self.sigma_edges.setdefault((src, label), []).append((dst, g))
-        # Product exploration state, filled on first use: per-state sigma
-        # edges sorted by symbol, interned guard-state tuples, and the
-        # memoized step and acceptance tables keyed by product id.
-        self._width = len(hcs.alphabet)
-        self._moves: Optional[list[list[tuple[int, int, Optional[int]]]]] = None
+                self.trackers.append(HcsSemantics(guard, max_states))
+        super().__init__(hcs.underlying, {t: index_of[name] for t, name in hcs.guarded.items()})
         self.products: list[tuple] = []
         self._product_ids: dict[tuple, int] = {}
         self._steps: dict[int, int] = {}  # p * |alphabet| + a -> product id
         self._accepts: dict[int, bool] = {}  # p * |guards| + g -> acceptance
-        # The lazy DFA: (subset, product id) by state id, and its step table
-        # (d * |alphabet| + a -> state id, None until asked for).
-        self.configs: list[tuple[frozenset[int], Optional[int]]] = []
-        self._config_ids: dict[tuple[frozenset[int], Optional[int]], int] = {}
-        self._delta: list[Optional[int]] = []
-        self._unfilled = [None] * self._width
-
-    # -- the lazy DFA --
-
-    def initial(self) -> int:
-        p = self.initial_product()
-        return self._state(self.closure({self.hcs.underlying.initial}, p), p)
-
-    def step(self, d: int, symbol: str | int) -> int:
-        a = symbol if isinstance(symbol, int) else self.hcs.alphabet.index(symbol)
-        i = d * self._width + a
-        nxt = self._delta[i]
-        if nxt is None:
-            subset, p = self.configs[d]
-            targets = set()
-            for q in subset:
-                for dst, g in self.sigma_edges.get((q, a), ()):
-                    if g is None or self.admits(p, g):
-                        targets.add(dst)
-            if targets:
-                p = self.advance(p, a)
-                closed = self.closure(targets, p) if self.eps_edges else frozenset(targets)
-                nxt = self._state(closed, p)
-            else:
-                nxt = self._state(frozenset(), None)
-            self._delta[i] = nxt
-        return nxt
-
-    def accepting(self, d: int) -> bool:
-        return not self.hcs.underlying.accepting.isdisjoint(self.configs[d][0])
-
-    def _state(self, subset: frozenset[int], p: Optional[int]) -> int:
-        key = (subset, p)
-        d = self._config_ids.get(key)
-        if d is None:
-            d = self._config_ids[key] = len(self.configs)
-            self.configs.append(key)
-            self._delta += self._unfilled if subset else [d] * self._width
-        return d
-
-    def closure(self, seen: set[int], p: int) -> frozenset[int]:
-        """Close ``seen`` in place under the epsilon moves admitted in ``p``."""
-        todo = list(seen)
-        while todo:
-            q = todo.pop()
-            for dst, g in self.eps_edges.get(q, ()):
-                if dst not in seen and (g is None or self.admits(p, g)):
-                    seen.add(dst)
-                    todo.append(dst)
-        return frozenset(seen)
-
-    # -- the product of one underlying state with the guard runtimes --
 
     def initial_product(self) -> int:
         return self.product_id(tuple(tr.initial() for tr in self.trackers))
@@ -299,66 +214,10 @@ class HcsSemantics:
             ok = self._accepts[key] = self.trackers[g].accepting(self.products[p][g])
         return ok
 
-    def successors(self, q: int, p: int) -> list[tuple[Optional[int], int, int]]:
-        """Admissible moves out of (q, p) as (label, destination, product id).
-
-        Epsilon moves come first and keep the guard product; sigma moves
-        follow by symbol, each group in transition order.
-        """
-        if self._moves is None:
-            self._moves = [[] for _ in self.hcs.underlying.states]
-            for (src, a), targets in sorted(self.sigma_edges.items()):
-                self._moves[src] += [(a, dst, g) for dst, g in targets]
-        moves = [
-            (None, dst, p)
-            for dst, g in self.eps_edges.get(q, ())
-            if g is None or self.admits(p, g)
-        ]
-        last = nxt = None
-        for a, dst, g in self._moves[q]:
-            if g is None or self.admits(p, g):
-                if a != last:
-                    last, nxt = a, self.advance(p, a)
-                moves.append((a, dst, nxt))
-        return moves
-
-    def explore(self, max_states: int, limit: str, stop: frozenset[int] = frozenset()):
-        """Breadth-first exploration of the reachable (state, product id) pairs.
-
-        Returns ``(vertices, edges)``: vertices in discovery order and edges
-        as (source, label, target) vertex triples, grouped by source in
-        vertex order. Returns None as soon as a vertex whose state is in
-        ``stop`` is dequeued. Discovering vertex number ``max_states + 1``
-        raises ResourceLimitError with ``limit`` formatted by the cap.
-        """
-        n = len(self.hcs.underlying.states)
-        start = (self.hcs.underlying.initial, self.initial_product())
-        order = {start[1] * n + start[0]: 0}  # vertex key p * n + q
-        vertices = [start]
-        edges: list[tuple[int, Optional[int], int]] = []
-        for v, (q, p) in enumerate(vertices):
-            if q in stop:
-                return None
-            for label, dst, nxt in self.successors(q, p):
-                key = nxt * n + dst
-                w = order.get(key)
-                if w is None:
-                    if len(vertices) >= max_states:
-                        raise ResourceLimitError(limit.format(max_states), max_states)
-                    w = order[key] = len(vertices)
-                    vertices.append((dst, nxt))
-                edges.append((v, label, w))
-        return vertices, edges
-
 
 def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -> bool:
     """Decide whether ``word`` has an accepting run consistent with all guards."""
-    semantics = HcsSemantics(hcs, max_states)
-    step = semantics.step
-    d = semantics.initial()
-    for a in map(hcs.alphabet.index, word):
-        d = step(d, a)
-    return semantics.accepting(d)
+    return HcsSemantics(hcs, max_states).accepts(word)
 
 
 def is_empty(hcs: Hcs, max_configs: int = DEFAULT_STATE_CAP) -> bool:
@@ -394,26 +253,7 @@ def determinize_hcs(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> FiniteAuto
     for name, guard in hcs.guards.items():
         if guard_kind(guard) != REGULAR:
             raise UnsupportedGuardError(f"determinization requires regular guards, got {name!r}")
-    semantics = HcsSemantics(hcs, max_states)
-    step = semantics.step
-    configs = semantics.configs
-    symbols = range(len(hcs.alphabet))
-    cap = max(max_states, 1)  # the start state is never refused
-    transitions: list[tuple[int, Optional[int], int]] = []
-    d = semantics.initial()
-    while d < len(configs):
-        transitions += [(d, a, step(d, a)) for a in symbols]
-        if len(configs) > cap:
-            raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
-        d += 1
-    return _trusted(
-        hcs.alphabet,
-        tuple(f"d{i}" for i in range(len(configs))),
-        0,
-        frozenset(d for d in range(len(configs)) if semantics.accepting(d)),
-        tuple(transitions),
-        True,
-    )
+    return HcsSemantics(hcs, max_states).build(max_states, "d{}".format)
 
 
 # ---------------------------------------------------------------------------

@@ -273,13 +273,13 @@ def _staying_strategy(arena: Arena, player: int, region: frozenset[int]) -> dict
     return strategy
 
 
-def solve_reachability(arena: Arena) -> GameSolution:
-    """Attractor solution of a reach-objective arena."""
-    if arena.objective_kind != REACH:
-        raise ContractError("solve_reachability requires a reach objective")
-    region0, strategy0 = _attractor(arena, 0, arena.marked)
-    region1 = frozenset(range(len(arena.vertices))) - region0
-    strategy1 = _staying_strategy(arena, 1, region1)
+def _solve(arena: Arena, player: int) -> GameSolution:
+    """``player`` wins the attractor of the marked vertices; the other player
+    wins the rest by staying in it."""
+    region, attract = _attractor(arena, player, arena.marked)
+    rest = frozenset(range(len(arena.vertices))) - region
+    stay = _staying_strategy(arena, 1 - player, rest)
+    region0, strategy0, strategy1 = (region, attract, stay) if player == 0 else (rest, stay, attract)
     return GameSolution(
         winner_from_initial=0 if arena.initial in region0 else 1,
         winning_region_0=region0,
@@ -287,22 +287,20 @@ def solve_reachability(arena: Arena) -> GameSolution:
         strategy_1=strategy1,
         arena=arena,
     )
+
+
+def solve_reachability(arena: Arena) -> GameSolution:
+    """Attractor solution of a reach-objective arena."""
+    if arena.objective_kind != REACH:
+        raise ContractError("solve_reachability requires a reach objective")
+    return _solve(arena, 0)
 
 
 def solve_safety(arena: Arena) -> GameSolution:
     """Safety solved as the complement reachability game with roles swapped."""
     if arena.objective_kind != SAFE:
         raise ContractError("solve_safety requires a safe objective")
-    region1, strategy1 = _attractor(arena, 1, arena.marked)
-    region0 = frozenset(range(len(arena.vertices))) - region1
-    strategy0 = _staying_strategy(arena, 0, region0)
-    return GameSolution(
-        winner_from_initial=0 if arena.initial in region0 else 1,
-        winning_region_0=region0,
-        strategy_0=strategy0,
-        strategy_1=strategy1,
-        arena=arena,
-    )
+    return _solve(arena, 1)
 
 
 def solve_hcs_game(game: HcsGame, max_vertices: int = DEFAULT_STATE_CAP) -> GameSolution:

@@ -516,7 +516,8 @@ def _reference_subset_dfa(automaton, max_states):
     """Powerset construction over the raw transition tuples, as
     ``equivalence_counterexample`` determinized both inputs before DFA inputs
     were renumbered in place: breadth-first, symbols in order, the empty
-    subset an ordinary state. Returns (delta dict, accepting set)."""
+    subset an ordinary state. Returns (delta dict, accepting set, subsets
+    in state order)."""
     from hcs.errors import ResourceLimitError
 
     n_sym = len(automaton.alphabet)
@@ -548,14 +549,14 @@ def _reference_subset_dfa(automaton, max_states):
                 order[nxt] = len(order)
                 queue.append(nxt)
             delta[(order[subset], a)] = order[nxt]
-    return delta, {i for s, i in order.items() if s & automaton.accepting}
+    return delta, {i for s, i in order.items() if s & automaton.accepting}, list(order)
 
 
 def reference_equivalence(a, b, max_states=1_000_000):
     """Shortest word accepted by exactly one automaton, or None: both are
     determinized, and their product is walked breadth-first over dicts."""
-    da, fa = _reference_subset_dfa(a, max_states)
-    db, fb = _reference_subset_dfa(b, max_states)
+    da, fa, _ = _reference_subset_dfa(a, max_states)
+    db, fb, _ = _reference_subset_dfa(b, max_states)
     parent = {(0, 0): None}
     queue = deque([(0, 0)])
     while queue:

@@ -18,15 +18,17 @@ from hcs.automata import (
     minimize,
 )
 from hcs.bench import cycle_dfa, prime_family
-from hcs.core import Hcs, determinize_hcs, guard_kind
+from hcs.core import Hcs, build_intersection_nfa, determinize_hcs, guard_kind
 from hcs.errors import ContractError, InputError, ResourceLimitError
 from hcs.games import HcsGame
 from hcs.models import guard_contains_aa, guard_length_multiple_of_three
 
 from oracles import (
     NfaStepper,
+    _reference_subset_dfa,
     all_words,
     first_disagreement,
+    reference_determinize,
     reference_equivalence,
     reference_minimize,
 )
@@ -272,8 +274,40 @@ class TestEquivalence:
 
 
 class TestDifferential:
-    """``minimize`` and ``equivalence_counterexample`` against the Moore and
+    """``determinize``, ``accepts``, ``is_empty``, ``minimize`` and
+    ``equivalence_counterexample`` against the subset, Moore and
     determinize-both references of oracles.py, on seeded random automata."""
+
+    def test_determinize_matches_reference_subset_construction(self):
+        rng = random.Random(1401)
+        for _ in range(1000):
+            n_sym = rng.randint(1, 3)
+            nfa = random_nfa(rng, rng.randint(1, 6), n_sym, eps=True)
+            delta, accepting, subsets = _reference_subset_dfa(nfa, 1_000_000)
+            dfa = determinize(nfa)
+            names = tuple("{" + " ".join(nfa.states[q] for q in sorted(s)) + "}" for s in subsets)
+            assert dfa.states == names, nfa
+            assert dfa.initial == 0
+            assert dfa.transitions == tuple((d, a, delta[(d, a)]) for d in range(len(subsets)) for a in range(n_sym))
+            assert dfa.accepting == frozenset(accepting)
+
+            stepper = NfaStepper(nfa)
+            for _ in range(8):
+                word = [rng.randrange(n_sym) for _ in range(rng.randint(0, 8))]
+                subset = stepper.initial()
+                for a in word:
+                    subset = stepper.step(subset, a)
+                assert accepts(nfa, [nfa.alphabet.symbols[a] for a in word]) == stepper.accepting(subset)
+            reached = {stepper.initial()}
+            todo = list(reached)
+            while todo:
+                subset = todo.pop()
+                for a in range(n_sym):
+                    nxt = stepper.step(subset, a)
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        todo.append(nxt)
+            assert is_empty(nfa) == (not any(map(stepper.accepting, reached)))
 
     def test_minimize_matches_moore_refinement(self):
         rng = random.Random(1301)
@@ -322,6 +356,16 @@ class TestDifferential:
             if cap > 1:
                 with pytest.raises(ResourceLimitError, match=f"state cap of {cap - 1}$"):
                     equivalence_counterexample(a, b, cap - 1)
+
+            gadget = build_intersection_nfa([a, b])
+            for build, source, n in (
+                (determinize, a, len(_reference_subset_dfa(a, 1_000_000)[2])),
+                (determinize_hcs, gadget, len(reference_determinize(gadget)[0])),
+            ):
+                assert len(build(source, n).states) == n
+                if n > 1:
+                    with pytest.raises(ResourceLimitError, match=f"determinization exceeded the state cap of {n - 1}$"):
+                        build(source, n - 1)
 
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
