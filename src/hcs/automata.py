@@ -112,10 +112,24 @@ class FiniteAutomaton:
 
     def is_complete(self) -> bool:
         """True if every (state, symbol) pair has at least one transition."""
-        keys = {(src, label) for src, label, _ in self.transitions if label is not None}
-        return all(
-            (q, a) in keys for q in range(len(self.states)) for a in range(len(self.alphabet))
-        )
+        return not _missing_moves(len(self.states), len(self.alphabet), self.transitions)
+
+
+def _fresh_name(base: str, taken: Sequence[str]) -> str:
+    """The name of a state a construction adds: ``base`` with ``_``
+    prefixed until no name in ``taken`` has it."""
+    name = base
+    while name in taken:
+        name = "_" + name
+    return name
+
+
+def _missing_moves(n_states: int, n_symbols: int, transitions: Sequence[tuple]) -> list[tuple[int, int]]:
+    """The (state, symbol) pairs without a move, state-major, for a sink to
+    take. ``transitions`` start (from-state, label, ...), as in automata and
+    VASS."""
+    keys = {(t[0], t[1]) for t in transitions if t[1] is not None}
+    return [(q, a) for q in range(n_states) for a in range(n_symbols) if (q, a) not in keys]
 
 
 def _trusted(
@@ -387,30 +401,21 @@ def accepts(automaton: FiniteAutomaton, word: Sequence[str]) -> bool:
     return SubsetDfa(automaton).accepts(word)
 
 
-def complete(automaton: FiniteAutomaton, sink_name: str = "sink") -> FiniteAutomaton:
+def complete(automaton: FiniteAutomaton) -> FiniteAutomaton:
     """Add a non-accepting sink so every (state, symbol) pair has a move.
 
     Returns the input unchanged when it is already complete. Preserves
     determinism.
     """
-    if automaton.is_complete():
+    n_symbols = len(automaton.alphabet)
+    missing = _missing_moves(len(automaton.states), n_symbols, automaton.transitions)
+    if not missing:
         return automaton
-    name = sink_name
-    while name in automaton.states:
-        name = "_" + name
-    states = automaton.states + (name,)
     sink = len(automaton.states)
-    keys = {(src, label) for src, label, _ in automaton.transitions if label is not None}
-    extra = [
-        (q, a, sink)
-        for q in range(len(states))
-        for a in range(len(automaton.alphabet))
-        if (q, a) not in keys and q != sink
-    ]
-    extra += [(sink, a, sink) for a in range(len(automaton.alphabet))]
+    extra = [(q, a, sink) for q, a in missing] + [(sink, a, sink) for a in range(n_symbols)]
     return _trusted(
         automaton.alphabet,
-        states,
+        automaton.states + (_fresh_name("sink", automaton.states),),
         automaton.initial,
         automaton.accepting,
         automaton.transitions + tuple(extra),

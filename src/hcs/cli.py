@@ -72,7 +72,9 @@ def _guard_kinds(hcs: Hcs) -> set[str]:
 def _cmd_empty(args) -> int:
     model = formats.load_path(args.model)
     engine = args.engine
-    if engine == "bounded" or args.max_len is not None:
+    if args.max_len is not None and engine != "bounded":
+        raise InputError("--max-len applies only to --engine bounded")
+    if engine == "bounded":
         if args.max_len is None:
             raise InputError("--engine bounded requires --max-len")
         if isinstance(model, Hcs):

@@ -20,6 +20,7 @@ from .automata import (
     FiniteAutomaton,
     SubsetDfa,
     _dfa_rows,
+    _fresh_name,
     complete,
     determinize,
 )
@@ -77,10 +78,6 @@ class Hcs:
     def deterministic(self) -> bool:
         """An HCS is deterministic exactly when its underlying automaton is."""
         return self.underlying.deterministic
-
-    def guard_of(self, transition_index: int) -> Optional[Guard]:
-        name = self.guarded.get(transition_index)
-        return None if name is None else self.guards[name]
 
     def guard_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.guards))
@@ -260,6 +257,9 @@ def determinize_hcs(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> FiniteAuto
 # Intersection gadgets
 
 
+DELIMITER = "$"
+
+
 def build_intersection_nfa(guards: Sequence[Guard], alphabet: Optional[Alphabet] = None) -> Hcs:
     """Chain gadget intersecting the guard languages with epsilon transitions.
 
@@ -268,101 +268,7 @@ def build_intersection_nfa(guards: Sequence[Guard], alphabet: Optional[Alphabet]
     chain. With no guards the result accepts the full language (the empty
     intersection convention), which requires an explicit alphabet.
     """
-    if not guards:
-        if alphabet is None:
-            raise InputError("the empty intersection needs an explicit alphabet")
-        underlying = FiniteAutomaton(
-            alphabet=alphabet,
-            states=("q0",),
-            initial=0,
-            accepting=frozenset({0}),
-            transitions=tuple((0, a, 0) for a in range(len(alphabet))),
-        )
-        return Hcs(alphabet, underlying, {}, {})
-    alpha = guards[0].alphabet
-    for guard in guards:
-        if guard.alphabet.symbols != alpha.symbols:
-            raise InputError("intersection guards must share one alphabet")
-    k = len(guards)
-    states = tuple(f"q{i}" for i in range(k + 1))
-    transitions = [(0, a, 0) for a in range(len(alpha))]
-    guarded: dict[int, str] = {}
-    table: dict[str, Guard] = {}
-    for i in range(1, k + 1):
-        guarded[len(transitions)] = f"g{i}"
-        table[f"g{i}"] = guards[i - 1]
-        transitions.append((i - 1, None, i))
-    underlying = FiniteAutomaton(
-        alphabet=alpha,
-        states=states,
-        initial=0,
-        accepting=frozenset({k}),
-        transitions=tuple(transitions),
-    )
-    return Hcs(alpha, underlying, table, guarded)
-
-
-DELIMITER = "$"
-
-
-def _fresh_name(base: str, taken: Sequence[str]) -> str:
-    name = base
-    while name in taken:
-        name = "_" + name
-    return name
-
-
-def _extend_alphabet(alpha: Alphabet, symbol: str) -> Alphabet:
-    if symbol in alpha:
-        raise InputError(f"symbol {symbol!r} already belongs to the alphabet")
-    return Alphabet(alpha.symbols + (symbol,))
-
-
-def _guard_with_delimiter_tail(guard: Guard, tail: int, extended: Alphabet) -> Guard:
-    """Rebuild a guard over the extended alphabet to accept w followed by
-    ``tail`` delimiter symbols, for w in the original language."""
-    dollar = extended.index(DELIMITER)
-    kind = guard_kind(guard)
-    if kind == REGULAR:
-        states = list(guard.states)
-        transitions = list(guard.transitions)
-        accepting = set(guard.accepting)
-        for step in range(tail):
-            fresh = len(states)
-            states.append(_fresh_name(f"tail{step + 1}", states))
-            for q in sorted(accepting) if step == 0 else [fresh - 1]:
-                transitions.append((q, dollar, fresh))
-            if step == tail - 1:
-                accepting = {fresh}
-        return FiniteAutomaton(
-            alphabet=extended,
-            states=tuple(states),
-            initial=guard.initial,
-            accepting=frozenset(accepting),
-            transitions=tuple(transitions),
-        )
-    if kind == VASS:
-        states = list(guard.states)
-        transitions = [(src, label, update, dst) for src, label, update, dst in guard.transitions]
-        accepting = set(guard.accepting)
-        zero = (0,) * guard.dim
-        for step in range(tail):
-            fresh = len(states)
-            states.append(_fresh_name(f"tail{step + 1}", states))
-            for q in sorted(accepting) if step == 0 else [fresh - 1]:
-                transitions.append((q, dollar, zero, fresh))
-            if step == tail - 1:
-                accepting = {fresh}
-        return Vass(
-            alphabet=extended,
-            dim=guard.dim,
-            states=tuple(states),
-            initial=guard.initial,
-            accepting=frozenset(accepting),
-            transitions=tuple(transitions),
-            mode=guard.mode,
-        )
-    raise UnsupportedGuardError("delimiter extension supports regular and VASS guards only")
+    return _chain_gadget(guards, alphabet, delimited=False)
 
 
 def build_intersection_dfa(guards: Sequence[Guard], alphabet: Optional[Alphabet] = None) -> Hcs:
@@ -372,41 +278,77 @@ def build_intersection_dfa(guards: Sequence[Guard], alphabet: Optional[Alphabet]
     guard is rebuilt to accept w followed by i-1 delimiters, matching its
     position in the chain.
     """
-    if not guards:
-        if alphabet is None:
-            raise InputError("the empty intersection needs an explicit alphabet")
-        extended = _extend_alphabet(alphabet, DELIMITER)
-        underlying = FiniteAutomaton(
-            alphabet=extended,
-            states=("q0",),
-            initial=0,
-            accepting=frozenset({0}),
-            transitions=tuple((0, a, 0) for a in range(len(alphabet))),
-        )
-        return Hcs(extended, underlying, {}, {})
-    alpha = guards[0].alphabet
-    for guard in guards:
-        if guard.alphabet.symbols != alpha.symbols:
-            raise InputError("intersection guards must share one alphabet")
-    extended = _extend_alphabet(alpha, DELIMITER)
-    dollar = extended.index(DELIMITER)
-    k = len(guards)
-    states = tuple(f"q{i}" for i in range(k + 1))
-    transitions = [(0, a, 0) for a in range(len(alpha))]
+    return _chain_gadget(guards, alphabet, delimited=True)
+
+
+def _chain_gadget(guards: Sequence[Guard], alphabet: Optional[Alphabet], delimited: bool) -> Hcs:
+    """States q0..qk: sigma-self-loops on q0, then the link q(i-1) -> qi
+    guarded by guard i. A link is epsilon, or, when ``delimited``, the
+    delimiter appended to the alphabet, and guard i gets a tail of i-1
+    delimiters."""
+    if guards:
+        alphabet = guards[0].alphabet
+        for guard in guards:
+            if guard.alphabet.symbols != alphabet.symbols:
+                raise InputError("intersection guards must share one alphabet")
+    elif alphabet is None:
+        raise InputError("the empty intersection needs an explicit alphabet")
+    extended, link = alphabet, None
+    if delimited:
+        if DELIMITER in alphabet:
+            raise InputError(f"symbol {DELIMITER!r} already belongs to the alphabet")
+        extended, link = Alphabet(alphabet.symbols + (DELIMITER,)), len(alphabet)
+    transitions = [(0, a, 0) for a in range(len(alphabet))]
     guarded: dict[int, str] = {}
     table: dict[str, Guard] = {}
-    for i in range(1, k + 1):
+    for i, guard in enumerate(guards, 1):
         guarded[len(transitions)] = f"g{i}"
-        table[f"g{i}"] = _guard_with_delimiter_tail(guards[i - 1], i - 1, extended)
-        transitions.append((i - 1, dollar, i))
+        table[f"g{i}"] = _guard_with_delimiter_tail(guard, i - 1, extended) if delimited else guard
+        transitions.append((i - 1, link, i))
     underlying = FiniteAutomaton(
         alphabet=extended,
-        states=states,
+        states=tuple(f"q{i}" for i in range(len(guards) + 1)),
         initial=0,
-        accepting=frozenset({k}),
+        accepting=frozenset({len(guards)}),
         transitions=tuple(transitions),
     )
     return Hcs(extended, underlying, table, guarded)
+
+
+def _guard_with_delimiter_tail(guard: Guard, tail: int, extended: Alphabet) -> Guard:
+    """Rebuild a guard over the extended alphabet to accept w followed by
+    ``tail`` delimiter symbols, for w in the original language."""
+    kind = guard_kind(guard)
+    if kind not in (REGULAR, VASS):
+        raise UnsupportedGuardError("delimiter extension supports regular and VASS guards only")
+    states = list(guard.states)
+    links: list[tuple[int, int]] = []
+    accepting = frozenset(guard.accepting)
+    for step in range(tail):
+        fresh = len(states)
+        states.append(_fresh_name(f"tail{step + 1}", states))
+        links += [(q, fresh) for q in (sorted(accepting) if step == 0 else [fresh - 1])]
+    if tail:
+        accepting = frozenset({len(states) - 1})
+    dollar = extended.index(DELIMITER)
+    if kind == REGULAR:
+        return FiniteAutomaton(
+            alphabet=extended,
+            states=tuple(states),
+            initial=guard.initial,
+            accepting=accepting,
+            transitions=tuple(guard.transitions) + tuple((q, dollar, r) for q, r in links),
+        )
+    zero = (0,) * guard.dim
+    return Vass(
+        alphabet=extended,
+        dim=guard.dim,
+        states=tuple(states),
+        initial=guard.initial,
+        accepting=accepting,
+        transitions=tuple(guard.transitions) + tuple((q, dollar, zero, r) for q, r in links),
+        mode=guard.mode,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, complete, determinize
+from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name, complete, determinize
 from .core import Hcs, HcsSemantics, guard_kind
 from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 
@@ -145,11 +145,8 @@ def game_non_blocking(game: HcsGame) -> HcsGame:
     needed = {game.owner[q] for q in blocked}
     sink_of: dict[int, int] = {}
     for player in sorted(needed):
-        name = "sink_lose" if player == 0 else "sink_win"
-        while name in states:
-            name = "_" + name
         sink_of[player] = len(states)
-        states.append(name)
+        states.append(_fresh_name("sink_lose" if player == 0 else "sink_win", states))
         owner.append(player)
     for q in blocked:
         transitions.append((q, None, sink_of[game.owner[q]]))
@@ -398,10 +395,7 @@ def normalize_countdown(game: CountdownGame) -> CountdownGame:
     edges: list[tuple[int, int, int]] = []
 
     def fresh(base: str) -> int:
-        name = base
-        while name in states:
-            name = "_" + name
-        states.append(name)
+        states.append(_fresh_name(base, states))
         return len(states) - 1
 
     def add_chain(src: int, weight: int, dst: int) -> None:
@@ -532,11 +526,8 @@ def countdown_to_hcs_game(game: CountdownGame) -> HcsGame:
     state_of: dict[str, int] = {}
 
     def add_state(name: str, who: int) -> int:
-        display = name
-        while display in states:
-            display = "_" + display
         state_of[name] = len(states)
-        states.append(display)
+        states.append(_fresh_name(name, states))
         owner.append(who)
         return state_of[name]
 

@@ -205,9 +205,15 @@ def vass_accepts(vass: Vass, word: Sequence[str], max_configs: int = DEFAULT_NOD
 def bounded_accepted_word(
     vass: Vass, max_len: int, max_configs: int = DEFAULT_NODE_CAP
 ) -> Optional[list[str]]:
-    """Shortest accepted word of length at most ``max_len``, if any."""
+    """Shortest accepted word of length at most ``max_len``, if any.
+
+    Like ``bounded_reach_empty``, the search raises ``ResourceLimitError``
+    once its layers after the first hold more than ``max_configs``
+    configurations in total.
+    """
     configs = initial_configs(vass, max_configs)
     words: dict[tuple[int, tuple[int, ...]], list[str]] = {c: [] for c in configs}
+    seen = 0
     for depth in range(max_len + 1):
         for (q, counters), word in words.items():
             if config_accepting(vass, q, counters):
@@ -221,6 +227,9 @@ def bounded_accepted_word(
                     if cfg not in nxt:
                         nxt[cfg] = word + [vass.alphabet.symbols[a]]
         words = nxt
+        seen += len(words)
+        if seen > max_configs:
+            raise ResourceLimitError(f"bounded search exceeded {max_configs} configurations", max_configs)
         if not words:
             break
     return None

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Alphabet, FiniteAutomaton
+from .automata import Alphabet, FiniteAutomaton, _fresh_name, _missing_moves
 from .core import Hcs, HcsSemantics, guard_kind
 from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 from .vass import (
@@ -37,30 +37,22 @@ from .vass import (
 )
 
 
-def complete_vass(vass: Vass, sink_name: str = "vsink") -> Vass:
+def complete_vass(vass: Vass) -> Vass:
     """Structural completion: missing (state, symbol) pairs move to a
     non-accepting sink with zero counter effect. Preserves determinism."""
-    keys = {(src, label) for src, label, _, _ in vass.transitions if label is not None}
-    missing = [
-        (q, a)
-        for q in range(len(vass.states))
-        for a in range(len(vass.alphabet))
-        if (q, a) not in keys
-    ]
+    n_symbols = len(vass.alphabet)
+    missing = _missing_moves(len(vass.states), n_symbols, vass.transitions)
     if not missing:
         return vass
-    name = sink_name
-    while name in vass.states:
-        name = "_" + name
     sink = len(vass.states)
     zero = (0,) * vass.dim
     transitions = list(vass.transitions)
     transitions += [(q, a, zero, sink) for q, a in missing]
-    transitions += [(sink, a, zero, sink) for a in range(len(vass.alphabet))]
+    transitions += [(sink, a, zero, sink) for a in range(n_symbols)]
     return Vass(
         alphabet=vass.alphabet,
         dim=vass.dim,
-        states=vass.states + (name,),
+        states=vass.states + (_fresh_name("vsink", vass.states),),
         initial=vass.initial,
         accepting=vass.accepting,
         transitions=tuple(transitions),
@@ -368,16 +360,10 @@ def two_cm_to_hcs(machine: TwoCounterMachine) -> Hcs:
         )
     alpha = Alphabet(ACTIONS)
     states = list(machine.states)
-
-    def fresh(base: str) -> int:
-        name = base
-        while name in states:
-            name = "_" + name
-        states.append(name)
-        return len(states) - 1
-
-    r = fresh("r")
-    s = fresh("s")
+    r = len(states)
+    states.append(_fresh_name("r", states))
+    s = len(states)
+    states.append(_fresh_name("s", states))
     transitions: list[tuple[int, Optional[int], int]] = [
         (src, alpha.index(action), dst) for src, action, dst in machine.transitions
     ]
@@ -470,10 +456,7 @@ def delimited_star_hcs(vass: Vass) -> Hcs:
 
     guard_states = ["p0"]
     for name in vass.states:
-        display = name
-        while display in guard_states:
-            display = "_" + display
-        guard_states.append(display)
+        guard_states.append(_fresh_name(name, guard_states))
     zero = (0,) * vass.dim
     guard_transitions = [(0, a, zero, 0) for a in range(len(extended))]
     guard_transitions.append((0, dollar, zero, vass.initial + 1))

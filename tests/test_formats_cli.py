@@ -6,13 +6,13 @@ import sys
 import pytest
 
 from hcs import cli, formats
-from hcs.automata import minimize
+from hcs.automata import Alphabet, minimize
 from hcs.bench import verify_succinctness
 from hcs.core import member
 from hcs.errors import HcsError, InputError
 from hcs.games import solve_countdown, solve_hcs_game
 from hcs.models import branching_nonempty_hcs
-from hcs.vass import CoverabilityInstance, decide_coverability
+from hcs.vass import REACH, CoverabilityInstance, Vass, decide_coverability
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 MODEL_FILES = sorted(f for f in os.listdir(MODELS) if f.endswith(".json"))
@@ -388,6 +388,25 @@ class TestExitCodes:
             == 3
         )
         capsys.readouterr()
+
+    def test_bounded_vass_search_cap_is_exit_three(self, tmp_path, capsys):
+        loops = ((0, 0, (1, 0), 0), (0, 1, (0, 1), 0))
+        vass = Vass(Alphabet(("a", "b")), 2, ("p", "q"), 0, frozenset({1}), loops, REACH)
+        path = tmp_path / "loops.json"
+        formats.save_path(str(path), vass)
+        argv = ["empty", "--model", str(path), "--engine", "bounded", "--max-len", "60"]
+        assert cli.main(argv + ["--max-states", "10"]) == 3
+        assert "bounded search exceeded 10 configurations" in capsys.readouterr().err
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.strip() == '{"empty": null, "unknown_up_to": 60}'
+
+    def test_max_len_needs_the_bounded_engine(self, capsys):
+        path = model_path("branching_nonempty.json")
+        for engine in (["--engine", "product"], ["--engine", "onthefly"], []):
+            assert cli.main(["empty", "--model", path, *engine, "--max-len", "2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--max-len applies only to --engine bounded" in captured.err
 
     def test_countdown_table_cap_is_exit_three(self, tmp_path, capsys):
         doc = json.loads(open(model_path("countdown_loop2_target3.json")).read())

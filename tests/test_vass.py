@@ -228,6 +228,15 @@ class TestCoverability:
         reach = Vass(AB, 1, ("q",), 0, frozenset({0}), ((0, 0, (1,), 0),), REACH)
         assert bounded_accepted_word(reach, 3) == []
 
+    def test_bounded_word_search_honours_its_cap(self):
+        # Layer d holds the d + 1 counter vectors of length-d words, and the
+        # accepting state is unreachable, so 60 layers count 1,890 of them.
+        loops = ((0, 0, (1, 0), 0), (0, 1, (0, 1), 0))
+        vass = Vass(AB, 2, ("p", "q"), 0, frozenset({1}), loops, REACH)
+        assert bounded_accepted_word(vass, 60, 1890) is None
+        with pytest.raises(ResourceLimitError, match="bounded search exceeded 1889 configurations"):
+            bounded_accepted_word(vass, 60, 1889)
+
     def test_engines_with_larger_updates_and_targets(self):
         rng = random.Random(99991)
         for _ in range(80):
