@@ -8,7 +8,7 @@ construction and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceLimitError
 
@@ -115,9 +115,10 @@ class FiniteAutomaton:
         return not _missing_moves(len(self.states), len(self.alphabet), self.transitions)
 
 
-def _fresh_name(base: str, taken: Sequence[str]) -> str:
+def _fresh_name(base: str, taken: Collection[str]) -> str:
     """The name of a state a construction adds: ``base`` with ``_``
-    prefixed until no name in ``taken`` has it."""
+    prefixed until no name in ``taken`` has it. A construction that adds
+    many states passes a set of the names taken so far."""
     name = base
     while name in taken:
         name = "_" + name

@@ -74,6 +74,9 @@ def _cmd_empty(args) -> int:
     engine = args.engine
     if args.max_len is not None and engine != "bounded":
         raise InputError("--max-len applies only to --engine bounded")
+    non_dying = "--assume-non-dying applies only to --engine product on cover-VASS guards"
+    if args.assume_non_dying and engine != "product":
+        raise InputError(non_dying)
     if engine == "bounded":
         if args.max_len is None:
             raise InputError("--engine bounded requires --max-len")
@@ -92,6 +95,8 @@ def _cmd_empty(args) -> int:
                 _emit({"empty": False, "witness": witness})
             return EXIT_OK
         raise InputError("bounded emptiness expects an HCS or VASS document")
+    if engine == "product" and isinstance(model, (FiniteAutomaton, Vass)):
+        raise InputError("--engine product applies only to HCS documents")
     if isinstance(model, FiniteAutomaton):
         _emit({"empty": automaton_is_empty(model)})
         return EXIT_OK
@@ -130,6 +135,8 @@ def _cmd_empty(args) -> int:
             )
             _emit({"empty": verdict})
             return EXIT_OK
+        if args.assume_non_dying:
+            raise InputError(non_dying)
         if engine == "product":
             _emit({"empty": automaton_is_empty(determinize_hcs(model, args.max_states))})
         else:

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name, complete, determinize
+from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name
 from .core import Hcs, HcsSemantics, guard_kind
 from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 
@@ -95,12 +95,6 @@ class Arena:
         for src in sources:
             offsets[src + 1] += 1
         return tuple(accumulate(offsets))
-
-    def out_edges(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.vertices]
-        for i, (src, _, _) in enumerate(self.edges):
-            out[src].append(i)
-        return out
 
     def stats(self) -> dict:
         return {
@@ -198,16 +192,15 @@ def arena_size_bounds(game: HcsGame) -> tuple[int, int]:
     """Vertex and edge bounds from the product structure.
 
     Computed over the determinized-and-completed guard DFAs actually used in
-    the arena: |Q| * (sum of guard state counts)^m and |T| * (sum of guard
-    transition counts)^m.
+    the arena, read off the compiled guard tables: |Q| * (sum of guard state
+    counts)^m and |T| * (sum of guard transition counts)^m, where a complete
+    DFA has states * |alphabet| transitions.
     """
     hcs = game.hcs
-    guard_dfas = [
-        complete(g if g.deterministic else determinize(g)) for _, g in sorted(hcs.guards.items())
-    ]
-    m = len(guard_dfas)
-    q_sum = sum(len(g.states) for g in guard_dfas)
-    t_sum = sum(len(g.transitions) for g in guard_dfas)
+    state_counts = [len(tracker.delta) for tracker in HcsSemantics(hcs).trackers]
+    m = len(state_counts)
+    q_sum = sum(state_counts)
+    t_sum = q_sum * len(hcs.alphabet)
     v_bound = len(hcs.underlying.states) * (q_sum**m if m else 1)
     e_bound = len(hcs.underlying.transitions) * (t_sum**m if m else 1)
     return v_bound, e_bound
@@ -392,10 +385,12 @@ def normalize_countdown(game: CountdownGame) -> CountdownGame:
     if _is_power_of_two(game.target) and all(_is_power_of_two(w) for _, w, _ in game.edges):
         return game
     states = list(game.states)
+    taken = set(states)
     edges: list[tuple[int, int, int]] = []
 
     def fresh(base: str) -> int:
-        states.append(_fresh_name(base, states))
+        states.append(_fresh_name(base, taken))
+        taken.add(states[-1])
         return len(states) - 1
 
     def add_chain(src: int, weight: int, dst: int) -> None:
@@ -522,12 +517,14 @@ def countdown_to_hcs_game(game: CountdownGame) -> HcsGame:
     guards = {f"D{i}": dfa for i, dfa in enumerate(_shared_guard_dfas(k))}
 
     states: list[str] = []
+    taken: set[str] = set()
     owner: list[int] = []
     state_of: dict[str, int] = {}
 
     def add_state(name: str, who: int) -> int:
         state_of[name] = len(states)
-        states.append(_fresh_name(name, states))
+        states.append(_fresh_name(name, taken))
+        taken.add(states[-1])
         owner.append(who)
         return state_of[name]
 

@@ -24,14 +24,11 @@ from functools import cached_property
 from math import ceil, inf
 from typing import Iterable, Optional, Sequence
 
-from .automata import Alphabet
+from .automata import DEFAULT_STATE_CAP, Alphabet
 from .errors import ContractError, InputError, ResourceLimitError
 
 COVER = "cover"
 REACH = "reach"
-
-#: Default cap on explored configurations/nodes.
-DEFAULT_NODE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def config_accepting(vass: Vass, state: int, counters: tuple[int, ...]) -> bool:
 def eps_closure_configs(
     vass: Vass,
     configs: Iterable[tuple[int, tuple[int, ...]]],
-    max_configs: int = DEFAULT_NODE_CAP,
+    max_configs: int = DEFAULT_STATE_CAP,
 ) -> frozenset[tuple[int, tuple[int, ...]]]:
     """Close a configuration set under epsilon transitions.
 
@@ -169,7 +166,7 @@ def step_configs(
     vass: Vass,
     configs: Iterable[tuple[int, tuple[int, ...]]],
     symbol: int,
-    max_configs: int = DEFAULT_NODE_CAP,
+    max_configs: int = DEFAULT_STATE_CAP,
 ) -> frozenset[tuple[int, tuple[int, ...]]]:
     """All configurations reachable by reading one symbol (plus epsilon moves)."""
     transitions, out = vass.transitions, vass.out_edges
@@ -182,11 +179,11 @@ def step_configs(
     return eps_closure_configs(vass, nxt, max_configs)
 
 
-def initial_configs(vass: Vass, max_configs: int = DEFAULT_NODE_CAP) -> frozenset[tuple[int, tuple[int, ...]]]:
+def initial_configs(vass: Vass, max_configs: int = DEFAULT_STATE_CAP) -> frozenset[tuple[int, tuple[int, ...]]]:
     return eps_closure_configs(vass, [(vass.initial, (0,) * vass.dim)], max_configs)
 
 
-def vass_accepts(vass: Vass, word: Sequence[str], max_configs: int = DEFAULT_NODE_CAP) -> bool:
+def vass_accepts(vass: Vass, word: Sequence[str], max_configs: int = DEFAULT_STATE_CAP) -> bool:
     """Exhaustive run search: does some run over ``word`` end accepting?
 
     Counters on a length-n run are bounded by n times the largest update, so
@@ -203,7 +200,7 @@ def vass_accepts(vass: Vass, word: Sequence[str], max_configs: int = DEFAULT_NOD
 
 
 def bounded_accepted_word(
-    vass: Vass, max_len: int, max_configs: int = DEFAULT_NODE_CAP
+    vass: Vass, max_len: int, max_configs: int = DEFAULT_STATE_CAP
 ) -> Optional[list[str]]:
     """Shortest accepted word of length at most ``max_len``, if any.
 
@@ -293,7 +290,7 @@ def replay_transitions(
 def decide_coverability(
     instance: CoverabilityInstance,
     engine: str = "km",
-    node_cap: int = DEFAULT_NODE_CAP,
+    node_cap: int = DEFAULT_STATE_CAP,
 ) -> CoverabilityResult:
     """Decide coverability with the requested engine ("km" or "backward")."""
     if engine == "km":

@@ -3,7 +3,8 @@
 Cover-guard emptiness runs either through the product VASS plus a
 coverability engine, or through the Karp-Miller core (``vass.karp_miller``)
 run on the fly over (underlying state, guard controls) with the guards'
-counters stacked into one vector. A deterministic guard whose only enabled
+counters stacked into one vector. Both engines step one move function over
+those controls, ``_product_moves``. A deterministic guard whose only enabled
 move would drive a counter negative is dead: its control becomes ``DEAD``
 and its counters zero, it rejects every extension of the history, but the
 outer system keeps running on transitions the guard does not control.
@@ -16,16 +17,15 @@ matching semi-decision.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
-from .automata import Alphabet, FiniteAutomaton, _fresh_name, _missing_moves
+from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name, _missing_moves
 from .core import Hcs, HcsSemantics, guard_kind
 from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 from .vass import (
     COVER,
-    DEFAULT_NODE_CAP,
     REACH,
     CoverabilityInstance,
     Vass,
@@ -71,20 +71,48 @@ def _cover_dvass_guards(hcs: Hcs, operation: str) -> dict[str, Vass]:
     return guards
 
 
-def _product_parts(hcs: Hcs):
-    """What both cover-guard products step: the completed guards in guard
-    order, their step tables ((state, symbol) -> (update, destination)),
-    and the underlying transitions by source as (index, label, destination,
-    guard position or None)."""
+#: The control of a deterministic guard after a move drove a counter negative.
+DEAD = "dead"
+
+
+def _product_moves(hcs: Hcs):
+    """The one move function of the cover-guard product, with the completed
+    guards it steps, in guard order.
+
+    A control is (underlying state, guard states ...), where a guard state
+    is a state of its completed guard or ``DEAD``. ``moves(control)``
+    yields (transition index, label, next control, updates) for every
+    underlying transition from the state whose guard accepts, in transition
+    order; ``updates`` holds each guard's counter update, None for an
+    epsilon move and for a dead guard, which stays dead.
+    """
     names = hcs.guard_names()
     index_of = {name: i for i, name in enumerate(names)}
     completed = [complete_vass(hcs.guards[name]) for name in names]
+    # per guard: (state, symbol) -> (update, destination)
     steps = [{(src, label): (update, dst) for src, label, update, dst in g.transitions} for g in completed]
     by_src: dict[int, list[tuple[int, Optional[int], int, Optional[int]]]] = {}
     for t, (src, label, dst) in enumerate(hcs.underlying.transitions):
         name = hcs.guarded.get(t)
         by_src.setdefault(src, []).append((t, label, dst, None if name is None else index_of[name]))
-    return completed, steps, by_src
+    no_updates = (None,) * len(completed)
+
+    def moves(control: tuple):
+        states = control[1:]
+        for t, label, dst, g in by_src.get(control[0], ()):
+            if g is not None and states[g] not in completed[g].accepting:
+                continue
+            if label is None:
+                yield t, None, (dst, *states), no_updates
+                continue
+            nxt, updates = [dst], []
+            for s, step in zip(states, steps):
+                update, s = (None, DEAD) if s == DEAD else step[s, label]
+                nxt.append(s)
+                updates.append(update)
+            yield t, label, tuple(nxt), updates
+
+    return completed, moves
 
 
 def product_vass(hcs: Hcs, assume_non_dying: bool = False) -> Vass:
@@ -105,56 +133,30 @@ def product_vass(hcs: Hcs, assume_non_dying: bool = False) -> Vass:
             "product_vass is only faithful for guards that cannot die; "
             "pass assume_non_dying=True to assert this"
         )
-    completed, steps, by_src = _product_parts(hcs)
-    total_dim = sum(g.dim for g in completed) or 1
-    zero = (0,) * total_dim
-
+    completed, moves = _product_moves(hcs)
+    zero = (0,) * (sum(g.dim for g in completed) or 1)
     auto = hcs.underlying
-    start = (auto.initial,) + tuple(g.initial for g in completed)
-    order: dict[tuple[int, ...], int] = {start: 0}
-    tuples = [start]
+    controls = [(auto.initial, *[g.initial for g in completed])]
+    order = {controls[0]: 0}
     transitions: list[tuple[int, Optional[int], tuple[int, ...], int]] = []
-    queue = deque([0])
-
-    def tuple_id(node: tuple[int, ...]) -> int:
-        if node not in order:
-            order[node] = len(order)
-            tuples.append(node)
-            queue.append(order[node])
-        return order[node]
-
-    while queue:
-        v = queue.popleft()
-        node = tuples[v]
-        q, guard_states = node[0], node[1:]
-        for _, label, dst, g in by_src.get(q, ()):
-            if g is not None and guard_states[g] not in completed[g].accepting:
-                continue
-            if label is None:
-                transitions.append((v, None, zero, tuple_id((dst,) + guard_states)))
-                continue
-            new_states = []
-            update: list[int] = []
-            for s, step in zip(guard_states, steps):
-                u, nxt = step[(s, label)]
-                new_states.append(nxt)
-                update.extend(u)
-            if not completed:
-                update = [0] * total_dim
-            transitions.append((v, label, tuple(update), tuple_id((dst,) + tuple(new_states))))
-
-    final = len(tuples)
-    names_out = ["(" + " ".join([auto.states[n[0]]] + [
-        completed[i].states[s] for i, s in enumerate(n[1:])
-    ]) + ")" for n in tuples]
-    names_out.append("t")
-    for v, node in enumerate(tuples):
-        if node[0] in auto.accepting:
-            transitions.append((v, None, zero, final))
+    for v, control in enumerate(controls):
+        for _, label, nxt, updates in moves(control):
+            w = order.get(nxt)
+            if w is None:
+                w = order[nxt] = len(controls)
+                controls.append(nxt)
+            stacked = [c for update in updates if update is not None for c in update]
+            transitions.append((v, label, tuple(stacked) or zero, w))
+    final = len(controls)
+    transitions += [(v, None, zero, final) for v, c in enumerate(controls) if c[0] in auto.accepting]
+    names = [
+        "(" + " ".join([auto.states[c[0]]] + [g.states[s] for g, s in zip(completed, c[1:])]) + ")"
+        for c in controls
+    ]
     return Vass(
         alphabet=hcs.alphabet,
-        dim=total_dim,
-        states=tuple(names_out),
+        dim=len(zero),
+        states=(*names, "t"),
         initial=0,
         accepting=frozenset({final}),
         transitions=tuple(transitions),
@@ -165,7 +167,7 @@ def product_vass(hcs: Hcs, assume_non_dying: bool = False) -> Vass:
 def hcs_cover_empty(
     hcs: Hcs,
     engine: str = "onthefly",
-    node_cap: int = DEFAULT_NODE_CAP,
+    node_cap: int = DEFAULT_STATE_CAP,
     assume_non_dying: bool = False,
 ) -> bool:
     """Emptiness for an HCS with cover-VASS guards.
@@ -201,46 +203,29 @@ def hcs_cover_empty(
     return explored is not None
 
 
-#: The control of a deterministic guard after a move drove a counter negative.
-DEAD = "dead"
-
-
 def _onthefly_empty_deterministic(hcs: Hcs, node_cap: int) -> bool:
-    """Karp-Miller tree over (state, guard controls) with stacked counters.
+    """Karp-Miller tree over product controls with stacked counters.
 
-    A guard's control is its state or ``DEAD``; a dead guard's slice of the
-    vector is zero, and it stays dead and rejects from then on.
+    A guard whose slice of the vector would go negative becomes ``DEAD``
+    with a zero slice; it stays dead and rejects from then on.
     """
-    completed, steps, by_src = _product_parts(hcs)
-    slices = []
-    dim = 0
-    for guard, step in zip(completed, steps):
-        slices.append((step, dim, dim + guard.dim))
-        dim += guard.dim
+    completed, product_moves = _product_moves(hcs)
+    bounds = (0, *accumulate(g.dim for g in completed))
+    slices = [(i, bounds[i - 1], bounds[i]) for i in range(1, len(bounds))]  # (control position, slice)
 
     def moves(control: tuple, vec: tuple):
-        q, states = control
-        for t, label, dst, g in by_src.get(q, ()):
-            if g is not None and states[g] not in completed[g].accepting:
-                continue
-            if label is None:
-                yield t, (dst, states), vec
-                continue
-            new_states = []
+        for t, _, nxt, updates in product_moves(control):
             new_vec: list = []
-            for s, (step, lo, hi) in zip(states, slices):
-                fired = None
-                if s != DEAD:
-                    update, s = step[(s, label)]
-                    fired = _fire(vec[lo:hi], update)
-                new_states.append(DEAD if fired is None else s)
-                new_vec += (0,) * (hi - lo) if fired is None else fired
-            yield t, (dst, tuple(new_states)), tuple(new_vec)
+            for update, (i, lo, hi) in zip(updates, slices):
+                fired = vec[lo:hi] if update is None else _fire(vec[lo:hi], update)
+                if fired is None:
+                    nxt, fired = (*nxt[:i], DEAD, *nxt[i + 1:]), (0,) * (hi - lo)
+                new_vec += fired
+            yield t, nxt, tuple(new_vec)
 
     auto = hcs.underlying
-    start = (auto.initial, tuple(g.initial for g in completed))
     _, hit = karp_miller(
-        [(start, (0,) * dim)],
+        [((auto.initial, *[g.initial for g in completed]), (0,) * bounds[-1])],
         moves,
         node_cap,
         "on-the-fly exploration exceeded {} nodes",
@@ -400,7 +385,7 @@ class BoundedEmptiness:
         return self.status == "nonempty"
 
 
-def bounded_reach_empty(hcs: Hcs, max_len: int, node_cap: int = DEFAULT_NODE_CAP) -> BoundedEmptiness:
+def bounded_reach_empty(hcs: Hcs, max_len: int, node_cap: int = DEFAULT_STATE_CAP) -> BoundedEmptiness:
     """Exhaustive configuration search over words up to ``max_len``.
 
     Never answers "empty": it either finds an accepted word or reports that
@@ -455,8 +440,10 @@ def delimited_star_hcs(vass: Vass) -> Hcs:
     n_sigma = len(vass.alphabet)
 
     guard_states = ["p0"]
+    taken = {"p0"}
     for name in vass.states:
-        guard_states.append(_fresh_name(name, guard_states))
+        guard_states.append(_fresh_name(name, taken))
+        taken.add(guard_states[-1])
     zero = (0,) * vass.dim
     guard_transitions = [(0, a, zero, 0) for a in range(len(extended))]
     guard_transitions.append((0, dollar, zero, vass.initial + 1))

@@ -272,6 +272,76 @@ def reference_product(hcs):
     return semantics.names, vertices, edges
 
 
+def reference_product_vass(hcs):
+    """The cover-guard product VASS built the plain way: breadth-first over
+    (state, guard states) pairs, guards in name order, trying every
+    underlying transition from the state in index order. A guard move that
+    is missing goes to a zero-effect sink named "vsink" with "_" prefixed
+    until it is fresh. States are named "(u g ...)", counters are stacked in
+    guard order (one zero counter without guards), and one final state "t"
+    is reached by zero-effect epsilon moves from every accepting pair."""
+    from hcs.vass import COVER, Vass
+
+    names = sorted(hcs.guards)
+    guards = [hcs.guards[name] for name in names]
+    auto = hcs.underlying
+    tables, guard_state_names = [], []
+    for guard in guards:
+        sink, sink_name = len(guard.states), "vsink"
+        while sink_name in guard.states:
+            sink_name = "_" + sink_name
+        table = {(src, label): (update, dst) for src, label, update, dst in guard.transitions}
+        for q in range(sink + 1):
+            for a in range(len(hcs.alphabet)):
+                table.setdefault((q, a), ((0,) * guard.dim, sink))
+        tables.append(table)
+        guard_state_names.append(list(guard.states) + [sink_name])
+    zero = (0,) * (sum(guard.dim for guard in guards) or 1)
+
+    start = (auto.initial, tuple(guard.initial for guard in guards))
+    ids = {start: 0}
+    nodes = [start]
+    queue = deque([start])
+    transitions = []
+    while queue:
+        node = queue.popleft()
+        q, guard_states = node
+        for t, (src, label, dst) in enumerate(auto.transitions):
+            if src != q:
+                continue
+            name = hcs.guarded.get(t)
+            if name is not None:
+                i = names.index(name)
+                if guard_states[i] not in guards[i].accepting:
+                    continue
+            if label is None:
+                nxt, update = (dst, guard_states), zero
+            else:
+                moved = [table[(s, label)] for table, s in zip(tables, guard_states)]
+                nxt = (dst, tuple(d for _, d in moved))
+                update = tuple(c for u, _ in moved for c in u) or zero
+            if nxt not in ids:
+                ids[nxt] = len(nodes)
+                nodes.append(nxt)
+                queue.append(nxt)
+            transitions.append((ids[node], label, update, ids[nxt]))
+    final = len(nodes)
+    transitions += [(ids[node], None, zero, final) for node in nodes if node[0] in auto.accepting]
+    states = [
+        "(" + " ".join([auto.states[q]] + [guard_state_names[i][s] for i, s in enumerate(guard_states)]) + ")"
+        for q, guard_states in nodes
+    ]
+    return Vass(hcs.alphabet, len(zero), tuple(states) + ("t",), 0, frozenset({final}), tuple(transitions), COVER)
+
+
+def out_edges(arena):
+    """The edge ids leaving each vertex of ``arena``, in edge order."""
+    out = [[] for _ in arena.vertices]
+    for i, (src, _, _) in enumerate(arena.edges):
+        out[src].append(i)
+    return out
+
+
 def reference_arena(game):
     """The arena of ``game`` over ``reference_product``."""
     from hcs.games import Arena
@@ -290,7 +360,7 @@ def reference_arena(game):
 
 def _reference_attractor(arena, player, targets):
     """Backward attractor over adjacency lists, sets and a join-order map."""
-    out = arena.out_edges()
+    out = out_edges(arena)
     rev = [[] for _ in arena.vertices]
     for src, _, dst in arena.edges:
         rev[dst].append(src)
@@ -327,7 +397,7 @@ def _reference_attractor(arena, player, targets):
 
 
 def _reference_staying(arena, player, region):
-    out = arena.out_edges()
+    out = out_edges(arena)
     strategy = {}
     for v in region:
         if arena.owner[v] == player:

@@ -37,7 +37,7 @@ from hcs.models import (
 from hcs.vass import COVER, Vass
 from hcs.vassguards import hcs_cover_empty
 
-from oracles import reference_arena, reference_product, reference_solution
+from oracles import out_edges, reference_arena, reference_product, reference_solution
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
@@ -113,7 +113,7 @@ def test_shipped_games_match_reference(kind):
 
 def test_solver_rejects_ungrouped_edges():
     arena = Arena((), ((0, ()), (1, ())), ((1, None, 0), (0, None, 1)), (0, 0), 0, frozenset({1}), "reach")
-    assert arena.out_edges() == [[1], [0]]
+    assert out_edges(arena) == [[1], [0]]
     with pytest.raises(ContractError, match="grouped by source"):
         solve_reachability(arena)
 

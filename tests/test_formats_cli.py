@@ -6,12 +6,12 @@ import sys
 import pytest
 
 from hcs import cli, formats
-from hcs.automata import Alphabet, minimize
+from hcs.automata import Alphabet, FiniteAutomaton, minimize
 from hcs.bench import verify_succinctness
-from hcs.core import member
+from hcs.core import Hcs, member
 from hcs.errors import HcsError, InputError
 from hcs.games import solve_countdown, solve_hcs_game
-from hcs.models import branching_nonempty_hcs
+from hcs.models import AB, branching_nonempty_hcs
 from hcs.vass import REACH, CoverabilityInstance, Vass, decide_coverability
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
@@ -407,6 +407,38 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "--max-len applies only to --engine bounded" in captured.err
+
+    def test_empty_options_that_do_not_apply_are_input_errors(self, tmp_path, capsys):
+        automaton = tmp_path / "automaton.json"
+        formats.save_path(str(automaton), branching_nonempty_hcs().underlying)
+        guard = Vass(AB, 1, ("zero", "pos"), 0, frozenset({1}), ((0, 0, (1,), 1), (1, 0, (0,), 1)))
+        underlying = FiniteAutomaton(AB, ("wait", "done"), 0, frozenset({1}), ((0, 0, 0), (0, 1, 1)))
+        guarded = tmp_path / "guarded.json"
+        formats.save_path(str(guarded), Hcs(AB, underlying, {"g": guard}, {1: "g"}))
+        vass = model_path("count_balanced_vass.json")
+        regular = model_path("branching_empty.json")
+        product = ["--engine", "product"]
+        non_dying = "--assume-non-dying applies only to --engine product on cover-VASS guards"
+        for path, options, message in [
+            (automaton, product, "--engine product applies only to HCS documents"),
+            (vass, product, "--engine product applies only to HCS documents"),
+            (automaton, ["--assume-non-dying"], non_dying),
+            (vass, ["--assume-non-dying"], non_dying),
+            (regular, [*product, "--assume-non-dying"], non_dying),
+            (guarded, ["--assume-non-dying"], non_dying),
+            (guarded, ["--engine", "bounded", "--max-len", "2", "--assume-non-dying"], non_dying),
+        ]:
+            assert cli.main(["empty", "--model", str(path), *options]) == 2, (path, options)
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
+        for path, options, empty in [
+            (automaton, [], False),
+            (vass, [], False),
+            (regular, product, True),
+            (guarded, [], False),
+            (guarded, [*product, "--assume-non-dying"], False),
+        ]:
+            assert run_cli(capsys, ["empty", "--model", str(path), *options]) == (0, {"empty": empty})
 
     def test_countdown_table_cap_is_exit_three(self, tmp_path, capsys):
         doc = json.loads(open(model_path("countdown_loop2_target3.json")).read())

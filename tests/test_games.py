@@ -27,7 +27,7 @@ from hcs.games import (
 )
 from hcs.models import AB, branching_nonempty_hcs
 
-from oracles import solve_countdown_countup
+from oracles import out_edges, solve_countdown_countup
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -46,7 +46,7 @@ def assert_strategy_closure(solution):
     """Player 0's strategy must reach the target from everywhere in its
     region within |vertices| steps, whatever Player 1 does."""
     arena = solution.arena
-    out = arena.out_edges()
+    out = out_edges(arena)
     horizon = len(arena.vertices)
     memo = {}
 
@@ -190,7 +190,7 @@ class TestSolvers:
 
 def naive_reach_region(arena):
     """Independent fixpoint: grow the winning set by one-step force checks."""
-    out = arena.out_edges()
+    out = out_edges(arena)
     succs = [[arena.edges[e][2] for e in out[v]] for v in range(len(arena.vertices))]
     winning = set(arena.marked)
     changed = True

@@ -38,6 +38,7 @@ from oracles import (
     all_words,
     brute_force_coverable,
     first_disagreement,
+    reference_product_vass,
     vass_accepts_brute,
 )
 
@@ -388,6 +389,55 @@ class TestProductVass:
         assert first_disagreement(HcsStepper(hcs), VassStepper(product), 2, 6) is None
         base = hcs.underlying.size() + g1.unary_size() + g2.unary_size()
         assert product.unary_size() <= 2 * base ** (2 + 2)
+
+    def test_matches_reference_product_on_random_systems(self):
+        rng = random.Random(1616)
+        seen = set()
+        for _ in range(500):
+            hcs = random_guarded_hcs(rng)
+            product = product_vass(hcs, assume_non_dying=True)
+            assert formats.to_document(product) == formats.to_document(reference_product_vass(hcs)), hcs
+            seen.add(f"{len(hcs.guards)} guards")
+            own = {state for guard in hcs.guards.values() for state in guard.states}
+            reached = {token.rstrip(")") for name in product.states[:-1] for token in name.split()[1:]}
+            if reached - own:
+                seen.add("renamed sink" if "_vsink" in reached else "sink")
+            if any(label is None and dst != len(product.states) - 1 for _, label, _, dst in product.transitions):
+                seen.add("epsilon")
+        assert seen == {"0 guards", "1 guards", "2 guards", "sink", "renamed sink", "epsilon"}
+
+
+def random_guarded_hcs(rng):
+    """An HCS over {a, b} with 0-2 deterministic cover guards of 1-3 states
+    and dimension 1-2, each with about a quarter of its moves missing and
+    sometimes a state already named "vsink"; the underlying system has 1-4
+    states and up to 7 moves, a third of them epsilon, half of them guarded."""
+    guards = {}
+    for i in range(rng.choice((0, 1, 1, 2, 2))):
+        n, dim = rng.randint(1, 3), rng.randint(1, 2)
+        names = [f"g{j}" for j in range(n)]
+        if rng.random() < 0.2:
+            names[rng.randrange(n)] = "vsink"
+        moves = tuple(
+            (q, a, tuple(rng.choice((-1, 0, 0, 1)) for _ in range(dim)), rng.randrange(n))
+            for q in range(n)
+            for a in range(2)
+            if rng.random() < 0.75
+        )
+        accepting = frozenset(q for q in range(n) if rng.random() < 0.6)
+        guards[f"G{i}"] = Vass(AB, dim, tuple(names), 0, accepting, moves, COVER)
+    m = rng.randint(1, 4)
+    transitions, guarded = [], {}
+    for _ in range(rng.randint(1, 7)):
+        move = (rng.randrange(m), rng.choice((0, 1, None)), rng.randrange(m))
+        if move in transitions:
+            continue
+        if guards and rng.random() < 0.5:
+            guarded[len(transitions)] = rng.choice(sorted(guards))
+        transitions.append(move)
+    accepting = frozenset(q for q in range(m) if rng.random() < 0.4)
+    underlying = FiniteAutomaton(AB, tuple(f"u{i}" for i in range(m)), 0, accepting, tuple(transitions))
+    return Hcs(AB, underlying, guards, guarded)
 
 
 class TestCoverEmptiness:
