@@ -214,14 +214,19 @@ def _onthefly_empty_deterministic(hcs: Hcs, node_cap: int) -> bool:
     slices = [(i, bounds[i - 1], bounds[i]) for i in range(1, len(bounds))]  # (control position, slice)
 
     def moves(control: tuple, vec: tuple):
-        for t, _, nxt, updates in product_moves(control):
-            new_vec: list = []
+        for t, label, nxt, updates in product_moves(control):
+            if label is None:
+                yield t, nxt, vec
+                continue
+            new_vec = vec
             for update, (i, lo, hi) in zip(updates, slices):
-                fired = vec[lo:hi] if update is None else _fire(vec[lo:hi], update)
+                if update is None:  # a dead guard: its slice is already zero
+                    continue
+                fired = _fire(vec[lo:hi], update)
                 if fired is None:
                     nxt, fired = (*nxt[:i], DEAD, *nxt[i + 1:]), (0,) * (hi - lo)
-                new_vec += fired
-            yield t, nxt, tuple(new_vec)
+                new_vec = new_vec[:lo] + fired + new_vec[hi:]
+            yield t, nxt, new_vec
 
     auto = hcs.underlying
     _, hit = karp_miller(

@@ -154,3 +154,26 @@ def test_cover_set_engine_cap_is_exact():
     assert hcs_cover_empty(hcs, node_cap=n)
     with pytest.raises(ResourceLimitError, match=f"set-based exploration exceeded {n - 1} configurations"):
         hcs_cover_empty(hcs, node_cap=n - 1)
+
+
+def test_cover_onthefly_cap_is_exact_with_dying_guards():
+    # Deterministic guards that die. g dies on the first b: in z a b pays
+    # from both counters, and the second only grows in y, so the move into
+    # s3 that g guards never fires. h dies once the history has more b's
+    # than a's. The a-loop on s1 is accelerated to omega. The Karp-Miller
+    # tree has 13 nodes, 8 of them with a DEAD guard.
+    g = Vass(
+        AB, 2, ("z", "y"), 0, frozenset({1}),
+        ((0, 0, (1, 0), 0), (0, 1, (-1, -1), 1), (1, 0, (0, 1), 1), (1, 1, (0, 0), 0)),
+        COVER,
+    )
+    h = Vass(AB, 1, ("x",), 0, frozenset({0}), ((0, 0, (1,), 0), (0, 1, (-1,), 0)), COVER)
+    underlying = FiniteAutomaton(
+        AB, ("s0", "s1", "s2", "s3"), 0, frozenset({3}),
+        ((0, 0, 1), (1, 1, 0), (1, None, 2), (2, 1, 2), (2, 0, 3), (1, 0, 1)),
+    )
+    hcs = Hcs(AB, underlying, {"g": g, "h": h}, {2: "h", 4: "g"})
+    n = 13
+    assert hcs_cover_empty(hcs, node_cap=n)
+    with pytest.raises(ResourceLimitError, match=f"on-the-fly exploration exceeded {n - 1} nodes"):
+        hcs_cover_empty(hcs, node_cap=n - 1)
