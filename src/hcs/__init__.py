@@ -13,7 +13,6 @@ from .automata import (
     Alphabet,
     FiniteAutomaton,
     accepts,
-    alphabet,
     complete,
     determinize,
     equivalence_counterexample,

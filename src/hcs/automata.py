@@ -7,8 +7,8 @@ construction and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterator, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceLimitError
 
@@ -53,11 +53,6 @@ class Alphabet:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.symbols)
-
-
-def alphabet(*symbols: str) -> Alphabet:
-    """Convenience constructor: ``alphabet("a", "b")``."""
-    return Alphabet(tuple(symbols))
 
 
 @dataclass(frozen=True)
@@ -133,30 +128,15 @@ def _missing_moves(n_states: int, n_symbols: int, transitions: Sequence[tuple]) 
     return [(q, a) for q in range(n_states) for a in range(n_symbols) if (q, a) not in keys]
 
 
-def _trusted(
-    alphabet: Alphabet,
-    states: tuple[str, ...],
-    initial: int,
-    accepting: frozenset[int],
-    transitions: tuple[tuple[int, Optional[int], int], ...],
-    deterministic: bool,
-) -> FiniteAutomaton:
-    """A ``FiniteAutomaton`` built by this library, without re-validation.
+def _trusted(cls, *values):
+    """An automaton or VASS built by this library, without re-validation.
 
-    The fields must be valid by construction and ``deterministic`` must be
-    what ``__post_init__`` would derive; the result then compares equal to
-    the one the validating constructor builds.
+    ``values`` are the fields of ``cls`` in declaration order, ``deterministic``
+    last; valid by construction, they give a value equal to a validated one.
     """
-    automaton = object.__new__(FiniteAutomaton)
-    automaton.__dict__.update(
-        alphabet=alphabet,
-        states=states,
-        initial=initial,
-        accepting=accepting,
-        transitions=transitions,
-        deterministic=deterministic,
-    )
-    return automaton
+    value = object.__new__(cls)
+    value.__dict__.update(zip([f.name for f in fields(cls)], values))
+    return value
 
 
 def _dfa_rows(dfa: FiniteAutomaton) -> list[list[int]]:
@@ -234,6 +214,7 @@ class SubsetDfa:
             else:
                 self.sigma_edges.setdefault((src, label), []).append((dst, guard_at.get(t)))
         self._width = len(automaton.alphabet)
+        self._n = len(automaton.states)
         # Per-state sigma edges sorted by symbol, filled on first use.
         self._moves: Optional[list[list[tuple[int, int, Optional[int]]]]] = None
         # The lazy DFA: (subset, product id) by state id, and its step table
@@ -331,6 +312,7 @@ class SubsetDfa:
                 raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
             d += 1
         return _trusted(
+            FiniteAutomaton,
             self.automaton.alphabet,
             tuple(map(name, range(len(configs)))),
             0,
@@ -339,58 +321,97 @@ class SubsetDfa:
             True,
         )
 
-    # -- the product of one state with the guard product --
+    # -- the product of the automaton with the guard product --
 
-    def successors(self, q: int, p: int) -> list[tuple[Optional[int], int, int]]:
-        """Admissible moves out of (q, p) as (label, destination, product id).
+    def successors(self, v: int) -> list[tuple[Optional[int], int]]:
+        """Admissible moves out of vertex ``v = p * |Q| + q``, the pair of
+        state q and product id p, as (label, vertex) pairs.
 
         Epsilon moves come first and keep the guard product; sigma moves
         follow by symbol, each group in transition order.
         """
+        n = self._n
+        p, q = v // n, v % n
         if self._moves is None:
             self._moves = [[] for _ in self.automaton.states]
             for (src, a), targets in sorted(self.sigma_edges.items()):
                 self._moves[src] += [(a, dst, g) for dst, g in targets]
-        moves = [
-            (None, dst, p)
-            for dst, g in self.eps_edges.get(q, ())
-            if g is None or self.admits(p, g)
-        ]
+        moves = [(None, v - q + dst) for dst, g in self.eps_edges.get(q, ()) if g is None or self.admits(p, g)]
         last = nxt = None
         for a, dst, g in self._moves[q]:
             if g is None or self.admits(p, g):
                 if a != last:
-                    last, nxt = a, self.advance(p, a)
-                moves.append((a, dst, nxt))
+                    last, nxt = a, self.advance(p, a) * n
+                moves.append((a, nxt + dst))
         return moves
 
     def explore(self, max_states: int, limit: str, stop: frozenset[int] = frozenset()):
-        """Breadth-first exploration of the reachable (state, product id) pairs.
+        """``explore`` from the initial state and guard product over the
+        vertices of ``successors``, stopping at a state in ``stop``."""
+        n = self._n
+        root = self.initial_product() * n + self.automaton.initial
+        return explore([root], self.successors, max_states, limit, (lambda v: v % n in stop) if stop else None)
 
-        Returns ``(vertices, edges)``: vertices in discovery order and edges
-        as (source, label, target) vertex triples, grouped by source in
-        vertex order. Returns None as soon as a vertex whose state is in
-        ``stop`` is dequeued. Discovering vertex number ``max_states + 1``
-        raises ResourceLimitError with ``limit`` formatted by the cap.
-        """
-        n = len(self.automaton.states)
-        start = (self.automaton.initial, self.initial_product())
-        order = {start[1] * n + start[0]: 0}  # vertex key p * n + q
-        vertices = [start]
-        edges: list[tuple[int, Optional[int], int]] = []
-        for v, (q, p) in enumerate(vertices):
-            if q in stop:
-                return None
-            for label, dst, nxt in self.successors(q, p):
-                key = nxt * n + dst
-                w = order.get(key)
-                if w is None:
-                    if len(vertices) >= max_states:
-                        raise ResourceLimitError(limit.format(max_states), max_states)
-                    w = order[key] = len(vertices)
-                    vertices.append((dst, nxt))
-                edges.append((v, label, w))
-        return vertices, edges
+
+def explore(roots: Iterable[Hashable], successors: Callable, max_states: int, limit: str, stop=None):
+    """Breadth-first search over hashable vertices.
+
+    ``successors(v)`` lists the (label, vertex) moves out of v. Returns
+    ``(vertices, edges, hit)``: vertices in discovery order, the roots
+    first, de-duplicated and never refused; edges as (source, label,
+    target) vertex-index triples, grouped by source in vertex order; and
+    the index of the first dequeued vertex that ``stop`` holds for, where
+    the search ends, or None. Discovering a vertex while ``max_states`` are
+    known raises ResourceLimitError with ``limit`` formatted by the cap.
+    """
+    index: dict = {}
+    for v in roots:
+        index.setdefault(v, len(index))
+    vertices = list(index)
+    edges: list[tuple[int, object, int]] = []
+    for i, v in enumerate(vertices):
+        if stop is not None and stop(v):
+            return vertices, edges, i
+        for label, w in successors(v):
+            j = index.get(w)
+            if j is None:
+                if len(vertices) >= max_states:
+                    raise ResourceLimitError(limit.format(max_states), max_states)
+                j = index[w] = len(vertices)
+                vertices.append(w)
+            edges.append((i, label, j))
+    return vertices, edges, None
+
+
+def layered_search(layer: dict, expand: Callable, accepting: Callable, max_len: int, max_configs: int):
+    """The first accepted word of the shortest length up to ``max_len``, or None.
+
+    ``layer`` maps the start configurations to ``()``; ``expand(c)`` lists
+    the (symbol, configuration) pairs one symbol on from c. Layer d maps the
+    configurations words of length d reach to the first word that expanding
+    layer d - 1 in order finds, and is tested for acceptance before it is
+    expanded. Once the layers after the first hold more than ``max_configs``
+    configurations in total, checked after each whole layer, it raises.
+    """
+    if max_len < 0:
+        raise InputError(f"the word-length bound must be non-negative, got {max_len}")
+    seen = 0
+    for depth in range(max_len + 1):
+        for config, word in layer.items():
+            if accepting(config):
+                return word
+        if depth == max_len or not layer:
+            break
+        nxt: dict = {}
+        for config, word in layer.items():
+            for symbol, succ in expand(config):
+                if succ not in nxt:
+                    nxt[succ] = word + (symbol,)
+        layer = nxt
+        seen += len(layer)
+        if seen > max_configs:
+            raise ResourceLimitError(f"bounded search exceeded {max_configs} configurations", max_configs)
+    return None
 
 
 def accepts(automaton: FiniteAutomaton, word: Sequence[str]) -> bool:
@@ -415,6 +436,7 @@ def complete(automaton: FiniteAutomaton) -> FiniteAutomaton:
     sink = len(automaton.states)
     extra = [(q, a, sink) for q, a in missing] + [(sink, a, sink) for a in range(n_symbols)]
     return _trusted(
+        FiniteAutomaton,
         automaton.alphabet,
         automaton.states + (_fresh_name("sink", automaton.states),),
         automaton.initial,
@@ -446,7 +468,7 @@ def is_empty(automaton: FiniteAutomaton) -> bool:
     """True iff no accepting state is reachable from the initial state."""
     # One vertex per state at most, so the cap never binds.
     n = len(automaton.states)
-    return SubsetDfa(automaton).explore(n, "", automaton.accepting) is not None
+    return SubsetDfa(automaton).explore(n, "", automaton.accepting)[2] is None
 
 
 def minimize(dfa: FiniteAutomaton, max_states: int = DEFAULT_STATE_CAP) -> FiniteAutomaton:
@@ -478,6 +500,7 @@ def minimize(dfa: FiniteAutomaton, max_states: int = DEFAULT_STATE_CAP) -> Finit
         (i, a, number[block[dst]]) for i, q in enumerate(first_member) for a, dst in enumerate(table[q])
     )
     return _trusted(
+        FiniteAutomaton,
         dfa.alphabet,
         tuple(f"m{i}" for i in range(len(first_member))),
         0,

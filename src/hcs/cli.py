@@ -399,6 +399,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as err:
         _diag(args, f"resource limit: {err}")
         return EXIT_RESOURCE
+    except RecursionError:
+        _diag(args, "resource limit: the model is nested deeper than the interpreter's recursion limit")
+        return EXIT_RESOURCE
     except HcsError as err:
         _diag(args, f"error: {err}")
         return EXIT_INPUT

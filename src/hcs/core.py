@@ -228,10 +228,10 @@ def is_empty(hcs: Hcs, max_configs: int = DEFAULT_STATE_CAP) -> bool:
             raise UnsupportedGuardError(
                 f"guard {name!r} is a VASS; use the cover/bounded emptiness engines"
             )
-    explored = HcsSemantics(hcs, max_configs).explore(
+    _, _, hit = HcsSemantics(hcs, max_configs).explore(
         max_configs, "emptiness exploration exceeded {} configurations", hcs.underlying.accepting
     )
-    return explored is not None
+    return hit is None
 
 
 # ---------------------------------------------------------------------------

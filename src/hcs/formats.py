@@ -410,12 +410,13 @@ def dumps_line(doc: dict) -> str:
 def load_path(path: str) -> Model:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return from_document(json.load(handle))
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}") from None
-    return from_document(doc)
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to parse") from None
 
 
 def save_path(path: str, model: Model) -> None:

@@ -172,11 +172,12 @@ def build_arena(game: HcsGame, max_vertices: int = DEFAULT_STATE_CAP) -> Arena:
     underlying automaton become arena edges that leave guard states alone.
     """
     semantics = HcsSemantics(game.hcs, max_vertices)
-    nodes, edges = semantics.explore(max_vertices, "arena construction exceeded {} vertices")
-    products = semantics.products
-    vertices = [(q, products[p]) for q, p in nodes]
-    owner = tuple([game.owner[q] for q, _ in nodes])
-    marked = frozenset([i for i, (q, _) in enumerate(nodes) if q in game.objective.states])
+    nodes, edges, _ = semantics.explore(max_vertices, "arena construction exceeded {} vertices")
+    products, n = semantics.products, len(game.hcs.underlying.states)
+    states = [v % n for v in nodes]
+    vertices = [(q, products[v // n]) for q, v in zip(states, nodes)]
+    owner = tuple([game.owner[q] for q in states])
+    marked = frozenset([i for i, q in enumerate(states) if q in game.objective.states])
     return Arena(
         guard_names=semantics.names,
         vertices=tuple(vertices),

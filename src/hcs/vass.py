@@ -24,7 +24,7 @@ from functools import cached_property
 from math import ceil, inf
 from typing import Iterable, Optional, Sequence
 
-from .automata import DEFAULT_STATE_CAP, Alphabet
+from .automata import DEFAULT_STATE_CAP, Alphabet, explore, layered_search
 from .errors import ContractError, InputError, ResourceLimitError
 
 COVER = "cover"
@@ -128,17 +128,18 @@ def eps_closure_configs(
     epsilon moves.
     """
     transitions, out = vass.transitions, vass.out_edges
+    limit = "epsilon closure exceeded {} configurations"
+
+    def moves(state: int, counters: tuple) -> list:
+        succ = []
+        for t in out[state]:
+            _, label, update, dst = transitions[t]
+            if label is None and (fired := _fire(counters, update)) is not None:
+                succ.append((t, dst, fired))
+        return succ
+
     if vass.mode == COVER:
-
-        def moves(state: int, counters: tuple) -> list:
-            succ = []
-            for t in out[state]:
-                _, label, update, dst = transitions[t]
-                if label is None and (fired := _fire(counters, update)) is not None:
-                    succ.append((t, dst, fired))
-            return succ
-
-        nodes, _ = karp_miller(configs, moves, max_configs, "epsilon closure exceeded {} configurations")
+        nodes, _ = karp_miller(configs, moves, max_configs, limit)
         found: dict[int, list[tuple]] = {}
         for node in nodes:
             found.setdefault(node[0], []).append(node[1])
@@ -148,18 +149,8 @@ def eps_closure_configs(
             for counters in kept
             if not any(other != counters and _vec_leq(counters, other) for other in kept)
         )
-    seen = set(configs)
-    todo = list(seen)
-    while todo:
-        state, counters = todo.pop()
-        for t in out[state]:
-            _, label, update, dst = transitions[t]
-            if label is None and (fired := _fire(counters, update)) is not None and (dst, fired) not in seen:
-                if len(seen) >= max_configs:
-                    raise ResourceLimitError(f"epsilon closure exceeded {max_configs} configurations", max_configs)
-                seen.add((dst, fired))
-                todo.append((dst, fired))
-    return frozenset(seen)
+    closure, _, _ = explore(configs, lambda c: [(t, (d, f)) for t, d, f in moves(*c)], max_configs, limit)
+    return frozenset(closure)
 
 
 def step_configs(
@@ -204,32 +195,19 @@ def bounded_accepted_word(
 ) -> Optional[list[str]]:
     """Shortest accepted word of length at most ``max_len``, if any.
 
-    Like ``bounded_reach_empty``, the search raises ``ResourceLimitError``
+    A ``layered_search`` over configurations, one ``step_configs`` per
+    symbol; like ``bounded_reach_empty``, it raises ``ResourceLimitError``
     once its layers after the first hold more than ``max_configs``
     configurations in total.
     """
-    configs = initial_configs(vass, max_configs)
-    words: dict[tuple[int, tuple[int, ...]], list[str]] = {c: [] for c in configs}
-    seen = 0
-    for depth in range(max_len + 1):
-        for (q, counters), word in words.items():
-            if config_accepting(vass, q, counters):
-                return word
-        if depth == max_len:
-            break
-        nxt: dict[tuple[int, tuple[int, ...]], list[str]] = {}
-        for (q, counters), word in words.items():
-            for a in range(len(vass.alphabet)):
-                for cfg in step_configs(vass, [(q, counters)], a, max_configs):
-                    if cfg not in nxt:
-                        nxt[cfg] = word + [vass.alphabet.symbols[a]]
-        words = nxt
-        seen += len(words)
-        if seen > max_configs:
-            raise ResourceLimitError(f"bounded search exceeded {max_configs} configurations", max_configs)
-        if not words:
-            break
-    return None
+    symbols = vass.alphabet.symbols
+
+    def expand(config: tuple) -> list:
+        return [(sym, c) for a, sym in enumerate(symbols) for c in step_configs(vass, [config], a, max_configs)]
+
+    start = dict.fromkeys(initial_configs(vass, max_configs), ())
+    word = layered_search(start, expand, lambda c: config_accepting(vass, *c), max_len, max_configs)
+    return None if word is None else list(word)
 
 
 @dataclass(frozen=True)

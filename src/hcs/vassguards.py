@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import prod
 from typing import Optional
 
-from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name, _missing_moves
+from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name, _missing_moves, _trusted
+from .automata import explore, layered_search
 from .core import Hcs, HcsSemantics, guard_kind
-from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
+from .errors import ContractError, InputError, UnsupportedGuardError
 from .vass import (
     COVER,
     REACH,
@@ -46,17 +48,17 @@ def complete_vass(vass: Vass) -> Vass:
         return vass
     sink = len(vass.states)
     zero = (0,) * vass.dim
-    transitions = list(vass.transitions)
-    transitions += [(q, a, zero, sink) for q, a in missing]
-    transitions += [(sink, a, zero, sink) for a in range(n_symbols)]
-    return Vass(
-        alphabet=vass.alphabet,
-        dim=vass.dim,
-        states=vass.states + (_fresh_name("vsink", vass.states),),
-        initial=vass.initial,
-        accepting=vass.accepting,
-        transitions=tuple(transitions),
-        mode=vass.mode,
+    extra = [(q, a, zero, sink) for q, a in missing] + [(sink, a, zero, sink) for a in range(n_symbols)]
+    return _trusted(
+        Vass,
+        vass.alphabet,
+        vass.dim,
+        vass.states + (_fresh_name("vsink", vass.states),),
+        vass.initial,
+        vass.accepting,
+        vass.transitions + tuple(extra),
+        vass.mode,
+        vass.deterministic,
     )
 
 
@@ -136,17 +138,17 @@ def product_vass(hcs: Hcs, assume_non_dying: bool = False) -> Vass:
     completed, moves = _product_moves(hcs)
     zero = (0,) * (sum(g.dim for g in completed) or 1)
     auto = hcs.underlying
-    controls = [(auto.initial, *[g.initial for g in completed])]
-    order = {controls[0]: 0}
-    transitions: list[tuple[int, Optional[int], tuple[int, ...], int]] = []
-    for v, control in enumerate(controls):
-        for _, label, nxt, updates in moves(control):
-            w = order.get(nxt)
-            if w is None:
-                w = order[nxt] = len(controls)
-                controls.append(nxt)
-            stacked = [c for update in updates if update is not None for c in update]
-            transitions.append((v, label, tuple(stacked) or zero, w))
+
+    def successors(control: tuple) -> list:
+        return [
+            ((label, tuple([c for update in updates if update is not None for c in update]) or zero), nxt)
+            for _, label, nxt, updates in moves(control)
+        ]
+
+    # One vertex per control at most, so the cap never binds.
+    n_controls = len(auto.states) * prod(len(g.states) for g in completed)
+    controls, edges, _ = explore([(auto.initial, *[g.initial for g in completed])], successors, n_controls, "")
+    transitions = [(v, label, update, w) for v, (label, update), w in edges]
     final = len(controls)
     transitions += [(v, None, zero, final) for v, c in enumerate(controls) if c[0] in auto.accepting]
     names = [
@@ -194,13 +196,13 @@ def hcs_cover_empty(
         raise InputError(f"unknown emptiness engine {engine!r}")
     if all(g.deterministic for g in guards.values()):
         return _onthefly_empty_deterministic(hcs, node_cap)
-    explored = HcsSemantics(hcs, node_cap).explore(
+    _, _, hit = HcsSemantics(hcs, node_cap).explore(
         node_cap,
         "set-based exploration exceeded {} configurations "
         "(emptiness of non-deterministic cover-VASS guards is a semi-decision)",
         hcs.underlying.accepting,
     )
-    return explored is not None
+    return hit is None
 
 
 def _onthefly_empty_deterministic(hcs: Hcs, node_cap: int) -> bool:
@@ -394,35 +396,24 @@ def bounded_reach_empty(hcs: Hcs, max_len: int, node_cap: int = DEFAULT_STATE_CA
     """Exhaustive configuration search over words up to ``max_len``.
 
     Never answers "empty": it either finds an accepted word or reports that
-    none exists up to the bound.
+    none exists up to the bound. A layer of the search is the epsilon-closed
+    set of ``HcsSemantics`` vertices its words reach.
     """
     semantics = HcsSemantics(hcs, node_cap)
+    n = len(hcs.underlying.states)
     accepting = hcs.underlying.accepting
     symbols = hcs.alphabet.symbols
-    layer: dict[tuple[int, int], tuple[str, ...]] = {
-        (hcs.underlying.initial, semantics.initial_product()): ()
-    }
-    seen_words = 0
-    for depth in range(max_len + 1):
-        closed: dict[tuple[int, int], tuple[str, ...]] = {}
-        for (q, p), word in layer.items():
-            for r in semantics.closure({q}, p):
-                closed.setdefault((r, p), word)
-        if depth:
-            seen_words += len(closed)
-            if seen_words > node_cap:
-                raise ResourceLimitError(f"bounded search exceeded {node_cap} configurations", node_cap)
-        for (q, _), word in closed.items():
-            if q in accepting:
-                return BoundedEmptiness("nonempty", word, max_len)
-        if depth == max_len:
-            break
-        layer = {}
-        for (q, p), word in closed.items():
-            for label, dst, nxt in semantics.successors(q, p):
-                if label is not None:
-                    layer.setdefault((dst, nxt), word + (symbols[label],))
-    return BoundedEmptiness("unknown", None, max_len)
+
+    def closed(v: int) -> list[int]:
+        p, q = divmod(v, n)
+        return [v - q + r for r in semantics.closure({q}, p)]
+
+    def expand(v: int) -> list:
+        return [(symbols[a], r) for a, w in semantics.successors(v) if a is not None for r in closed(w)]
+
+    start = closed(semantics.initial_product() * n + hcs.underlying.initial)
+    word = layered_search(dict.fromkeys(start, ()), expand, lambda v: v % n in accepting, max_len, node_cap)
+    return BoundedEmptiness("unknown" if word is None else "nonempty", word, max_len)
 
 
 def delimited_star_hcs(vass: Vass) -> Hcs:

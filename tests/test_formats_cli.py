@@ -400,6 +400,32 @@ class TestExitCodes:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.strip() == '{"empty": null, "unknown_up_to": 60}'
 
+    def test_negative_max_len_is_input_error(self, capsys):
+        for name in ("branching_nonempty.json", "count_balanced_vass.json"):
+            argv = ["empty", "--model", model_path(name), "--engine", "bounded", "--max-len", "-3"]
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "the word-length bound must be non-negative, got -3" in captured.err
+
+    def test_deep_nesting_is_an_exit_code_not_a_traceback(self, tmp_path, capsys):
+        # One state and one a-loop per level, each guarded by the level below.
+        doc = {"type": "hcs", "alphabet": ["a"], "states": ["q"], "initial": "q", "accepting": ["q"]}
+        level = {**doc, "transitions": [{"from": "q", "label": "a", "to": "q"}]}
+        for _ in range(400):
+            loop = {"from": "q", "label": "a", "to": "q", "guard": "g"}
+            level = {**doc, "transitions": [loop], "guards": {"g": level}}
+        nested = tmp_path / "nested.json"
+        nested.write_text(json.dumps(level))
+        for argv in (["member", "--word", "a"], ["empty"], ["fmt"]):
+            assert cli.main([*argv, "--model", str(nested)]) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("resource limit: ")
+        array = tmp_path / "array.json"
+        array.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["fmt", "--model", str(array)]) == 2
+        assert "nested too deeply to parse" in capsys.readouterr().err
+
     def test_max_len_needs_the_bounded_engine(self, capsys):
         path = model_path("branching_nonempty.json")
         for engine in (["--engine", "product"], ["--engine", "onthefly"], []):

@@ -2,7 +2,7 @@
 
 ``determinize_hcs`` must build the same states, accepting set and transition
 set as the plain subset construction kept in ``oracles``, with the same cap;
-``bounded_reach_empty`` must give the same status and witness length as the
+``bounded_reach_empty`` must give the same status and witness as the
 plain layered search, and its witnesses must replay with ``member``. Cover
 guards are tracked as antichains of omega-configurations, so ``member``
 answers on guards whose epsilon loops pump counters without bound.
@@ -20,7 +20,7 @@ from hcs.bench import prime_family
 from hcs.core import Hcs, HcsSemantics, build_intersection_nfa, determinize_hcs, guard_kind, is_empty, member
 from hcs.errors import ResourceLimitError
 from hcs.models import AB, guard_alternating, guard_contains_aa, guard_length_multiple_of_three
-from hcs.vass import COVER, REACH, Vass, vass_accepts
+from hcs.vass import COVER, REACH, Vass, eps_closure_configs, vass_accepts
 from hcs.vassguards import TwoCounterMachine, bounded_reach_empty, two_cm_to_hcs
 
 from oracles import all_words, cover_vass_member, reference_bounded_reach, reference_determinize
@@ -118,10 +118,8 @@ def test_bounded_search_matches_reference():
             outcome = bounded_reach_empty(hcs, max_len)
             status, witness = reference_bounded_reach(hcs, max_len)
             assert outcome.status == status
-            if witness is None:
-                assert outcome.witness is None
-            else:
-                assert len(outcome.witness) == len(witness)
+            assert outcome.witness == witness
+            if witness is not None:
                 assert member(hcs, list(outcome.witness))
 
 
@@ -213,3 +211,27 @@ def test_epsilon_closure_cap():
                 vass_accepts(vass, [], 50)
         else:
             assert vass_accepts(vass, [], 2)
+
+
+def test_reach_epsilon_closure_cap_is_exact():
+    # p spends its counter on epsilon and hands every value to q: from
+    # (p, 3) the closure is (p, 3..0) and (q, 3..0).
+    vass = Vass(AB, 1, ("p", "q"), 0, frozenset(), ((0, None, (-1,), 0), (0, None, (0,), 1)), REACH)
+    root = [(0, (3,))]
+    n = len(eps_closure_configs(vass, root))
+    assert n == 8
+    assert len(eps_closure_configs(vass, root, n)) == n
+    with pytest.raises(ResourceLimitError, match=f"epsilon closure exceeded {n - 1} configurations"):
+        eps_closure_configs(vass, root, n - 1)
+
+
+def test_epsilon_closure_keeps_roots_beyond_the_cap():
+    states = tuple(f"p{i}" for i in range(5))
+    roots = [(q, (q,)) for q in range(5)]
+    for mode in (REACH, COVER):
+        closed = Vass(AB, 1, states, 0, frozenset(), ((0, 0, (1,), 1),), mode)
+        assert eps_closure_configs(closed, roots, 2) == frozenset(roots)
+    # In reach mode a root set at the cap leaves no room for a new configuration.
+    opened = Vass(AB, 1, states, 0, frozenset(), ((4, None, (1,), 4),), REACH)
+    with pytest.raises(ResourceLimitError, match="epsilon closure exceeded 2 configurations"):
+        eps_closure_configs(opened, roots, 2)

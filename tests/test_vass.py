@@ -229,6 +229,31 @@ class TestCoverability:
         reach = Vass(AB, 1, ("q",), 0, frozenset({0}), ((0, 0, (1,), 0),), REACH)
         assert bounded_accepted_word(reach, 3) == []
 
+    def test_bounded_word_search_finds_the_shortest_word(self):
+        # Random VASS whose epsilon moves never raise a counter, so the
+        # brute-force run search terminates; each also runs in reach mode.
+        rng = random.Random(1357)
+        for _ in range(60):
+            cover = random_cover_vass(rng, n_states=rng.randint(1, 3), dim=rng.randint(1, 2))
+            moves = tuple(t for t in cover.transitions if t[1] is not None or all(u <= 0 for u in t[2]))
+            for mode in (COVER, REACH):
+                vass = Vass(AB, cover.dim, cover.states, 0, cover.accepting, moves, mode)
+                for max_len in (0, 2, 4):
+                    word = bounded_accepted_word(vass, max_len)
+                    shorter = max_len if word is None else len(word) - 1
+                    assert not any(vass_accepts_brute(vass, w) for w in all_words("ab", shorter)), vass
+                    assert word is None or vass_accepts_brute(vass, word), (vass, word)
+
+    def test_negative_max_len_is_input_error(self):
+        underlying = FiniteAutomaton(AB, ("q",), 0, frozenset({0}), ())
+        for search in (
+            lambda n: bounded_accepted_word(count_balanced_vass(), n),
+            lambda n: bounded_reach_empty(Hcs(AB, underlying, {}, {}), n),
+        ):
+            assert search(0) is not None
+            with pytest.raises(InputError, match="word-length bound must be non-negative, got -1"):
+                search(-1)
+
     def test_bounded_word_search_honours_its_cap(self):
         # Layer d holds the d + 1 counter vectors of length-d words, and the
         # accepting state is unreachable, so 60 layers count 1,890 of them.
