@@ -22,6 +22,7 @@ from .automata import (
 )
 from .bench import SuccinctnessReport, cycle_dfa, prime_family, verify_succinctness
 from .core import (
+    GuardProduct,
     Hcs,
     HcsSemantics,
     build_intersection_dfa,

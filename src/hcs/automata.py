@@ -187,6 +187,18 @@ def _bfs_table(dfa: FiniteAutomaton, max_states: int) -> tuple[list[list[int]], 
     return table, [q in accepting for q in order]
 
 
+def _no_guard_product() -> int:
+    return 0
+
+
+def _same_guard_product(p: int, a: int) -> int:
+    return p
+
+
+def _admit_all(p: int, g: int) -> bool:
+    return True
+
+
 class SubsetDfa:
     """The subset construction of an automaton as a lazily built DFA.
 
@@ -199,7 +211,10 @@ class SubsetDfa:
     ``guard_at`` maps transition indices to guard positions. A transition
     with a guard is taken only where ``admits`` holds, and each symbol read
     moves the guard product by ``advance``. Here the only guard product is 0
-    and both are trivial; ``core.HcsSemantics`` supplies real guards.
+    and both are trivial; ``core.HcsSemantics`` rebinds ``initial_product``,
+    ``advance`` and ``admits`` to a real guard product. They are instance
+    attributes, not methods, so the rebinding shadows no method and the
+    loops below make one plain call per lookup.
     """
 
     def __init__(self, automaton: FiniteAutomaton, guard_at: Optional[dict[int, int]] = None):
@@ -223,17 +238,9 @@ class SubsetDfa:
         self._config_ids: dict[tuple[frozenset[int], Optional[int]], int] = {}
         self._delta: list[Optional[int]] = []
         self._unfilled = [None] * self._width
-
-    # -- the guard product, trivial here --
-
-    def initial_product(self) -> int:
-        return 0
-
-    def advance(self, p: int, a: int) -> int:
-        return p
-
-    def admits(self, p: int, g: int) -> bool:
-        return True
+        self.initial_product: Callable[[], int] = _no_guard_product
+        self.advance: Callable[[int, int], int] = _same_guard_product
+        self.admits: Callable[[int, int], bool] = _admit_all
 
     # -- the lazy DFA --
 
@@ -383,11 +390,13 @@ def explore(roots: Iterable[Hashable], successors: Callable, max_states: int, li
     return vertices, edges, None
 
 
-def layered_search(layer: dict, expand: Callable, accepting: Callable, max_len: int, max_configs: int):
+def layered_search(start: Callable, expand: Callable, accepting: Callable, max_len: int, max_configs: int):
     """The first accepted word of the shortest length up to ``max_len``, or None.
 
-    ``layer`` maps the start configurations to ``()``; ``expand(c)`` lists
-    the (symbol, configuration) pairs one symbol on from c. Layer d maps the
+    ``start()`` lists the start configurations; it is called only once
+    ``max_len`` is known to be valid, so a bad bound is reported before any
+    start closure can hit a cap. ``expand(c)`` lists the (symbol,
+    configuration) pairs one symbol on from c. Layer d maps the
     configurations words of length d reach to the first word that expanding
     layer d - 1 in order finds, and is tested for acceptance before it is
     expanded. Once the layers after the first hold more than ``max_configs``
@@ -395,6 +404,7 @@ def layered_search(layer: dict, expand: Callable, accepting: Callable, max_len: 
     """
     if max_len < 0:
         raise InputError(f"the word-length bound must be non-negative, got {max_len}")
+    layer = dict.fromkeys(start(), ())
     seen = 0
     for depth in range(max_len + 1):
         for config, word in layer.items():

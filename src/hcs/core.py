@@ -10,6 +10,8 @@ transition reads the history's sigma-projection as it stands.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -153,51 +155,61 @@ class _VassTracker:
         return any(vassmod.config_accepting(self.guard, q, c) for q, c in configs)
 
 
-class HcsSemantics(SubsetDfa):
-    """Stepping machinery for one HCS: the lazy subset DFA of its underlying
-    automaton over an interned product of guard runtimes.
+class GuardProduct:
+    """The interned product of one guard tuple's runtimes.
 
-    ``products`` lists the guard-runtime tuples by product id; ``advance``
-    and ``admits`` are memoized in tables that fill as the lazy DFA and
-    ``explore`` reach them. An ``HcsSemantics`` is itself a guard tracker
-    (``initial``/``step``/``accepting``) for a nested guard.
+    ``trackers`` hold one compiled tracker per guard, in the order given,
+    all over ``alphabet``; ``products`` lists the guard-runtime tuples by
+    product id; ``advance`` and ``admits`` are memoized in tables that fill
+    as callers reach them.
+    The product depends on the guards and the cap alone, never on the
+    system they guard, so ``guard_product`` shares one product between
+    every semantics over the same regular guard objects. A shared product
+    interns new tuples under a lock; its memo tables are read without one,
+    since every entry they gain is a pure function of its key.
     """
 
-    def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
-        self.hcs = hcs
-        self.names = hcs.guard_names()
-        index_of = {name: i for i, name in enumerate(self.names)}
-        self.trackers = []
-        for name in self.names:
-            guard = hcs.guards[name]
-            kind = guard_kind(guard)
-            if kind == REGULAR:
-                self.trackers.append(_RegularTracker(guard, max_states))
-            elif kind == VASS:
-                self.trackers.append(_VassTracker(guard, max_states))
-            else:
-                self.trackers.append(HcsSemantics(guard, max_states))
-        super().__init__(hcs.underlying, {t: index_of[name] for t, name in hcs.guarded.items()})
+    def __init__(self, alphabet: Alphabet, guards: tuple, max_states: int, shared: bool = False):
+        self.guards = guards
+        self.trackers = [_tracker(guard, max_states) for guard in guards]
         self.products: list[tuple] = []
         self._product_ids: dict[tuple, int] = {}
-        self._steps: dict[int, int] = {}  # p * |alphabet| + a -> product id
-        self._accepts: dict[int, bool] = {}  # p * |guards| + g -> acceptance
+        # Flat memo tables, one row per product, None until asked for:
+        # p * |alphabet| + a -> product id, and p * |guards| + g -> acceptance.
+        self._width = len(alphabet)
+        self._steps: list[Optional[int]] = []
+        self._accepts: list[Optional[bool]] = []
+        self._unfilled = ([None] * self._width, [None] * len(guards))
+        self._lock = threading.Lock() if shared else None
 
-    def initial_product(self) -> int:
+    def initial(self) -> int:
         return self.product_id(tuple(tr.initial() for tr in self.trackers))
 
     def product_id(self, guard_states: tuple) -> int:
         """Intern a tuple of guard runtimes; equal tuples share one id."""
         p = self._product_ids.get(guard_states)
         if p is None:
-            p = self._product_ids[guard_states] = len(self.products)
-            self.products.append(guard_states)
+            if self._lock is None:
+                return self._intern(guard_states)
+            with self._lock:
+                p = self._product_ids.get(guard_states)
+                if p is None:
+                    p = self._intern(guard_states)
+        return p
+
+    def _intern(self, guard_states: tuple) -> int:
+        # The tuple and its table rows are listed before its id is
+        # published, so every id read from the dict indexes all three.
+        self._steps += self._unfilled[0]
+        self._accepts += self._unfilled[1]
+        self.products.append(guard_states)
+        p = self._product_ids[guard_states] = len(self.products) - 1
         return p
 
     def advance(self, p: int, a: int) -> int:
         """The guard product after reading symbol ``a``, memoized."""
         key = p * self._width + a
-        nxt = self._steps.get(key)
+        nxt = self._steps[key]
         if nxt is None:
             stepped = tuple([tr.step(s, a) for tr, s in zip(self.trackers, self.products[p])])
             nxt = self._steps[key] = self.product_id(stepped)
@@ -206,10 +218,89 @@ class HcsSemantics(SubsetDfa):
     def admits(self, p: int, g: int) -> bool:
         """Whether guard ``g`` accepts in guard product ``p``, memoized."""
         key = p * len(self.trackers) + g
-        ok = self._accepts.get(key)
+        ok = self._accepts[key]
         if ok is None:
             ok = self._accepts[key] = self.trackers[g].accepting(self.products[p][g])
         return ok
+
+
+def _tracker(guard: Guard, max_states: int):
+    kind = guard_kind(guard)
+    if kind == REGULAR:
+        return _RegularTracker(guard, max_states)
+    if kind == VASS:
+        return _VassTracker(guard, max_states)
+    return HcsSemantics(guard, max_states)
+
+
+# Shared products of regular guard tuples, keyed by (guard ids in name
+# order, cap). An entry holds its guards alive, so no id in a live key is
+# reused. A key is admitted only on its second sighting, so that one-shot
+# guard tuples (fresh intersection gadgets) do not flush the entries that
+# repeat; ``_seen_keys`` remembers the recent first sightings.
+_SHARED_CAPACITY = 16
+_SEEN_CAPACITY = 64
+_shared_products: OrderedDict[tuple, GuardProduct] = OrderedDict()
+_seen_keys: OrderedDict[tuple, None] = OrderedDict()
+_shared_lock = threading.Lock()
+
+
+def guard_product(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> GuardProduct:
+    """The product of the guards of ``hcs`` in name order: shared when there
+    are guards, every one is regular and the tuple has been seen before;
+    private otherwise (VASS and nested guards always get a private product).
+    The guards fix the alphabet, so the key need not hold it."""
+    guards = tuple([hcs.guards[name] for name in hcs.guard_names()])
+    if not guards or not all(isinstance(guard, FiniteAutomaton) for guard in guards):
+        return GuardProduct(hcs.alphabet, guards, max_states)
+    key = (tuple(map(id, guards)), max_states)
+    with _shared_lock:
+        product = _shared_products.get(key)
+        if product is not None:
+            _shared_products.move_to_end(key)
+            return product
+        admit = key in _seen_keys
+        if admit:
+            del _seen_keys[key]
+        else:
+            _seen_keys[key] = None
+            if len(_seen_keys) > _SEEN_CAPACITY:
+                _seen_keys.popitem(last=False)
+    product = GuardProduct(hcs.alphabet, guards, max_states, shared=admit)
+    if admit:
+        with _shared_lock:
+            product = _shared_products.setdefault(key, product)
+            if len(_shared_products) > _SHARED_CAPACITY:
+                _shared_products.popitem(last=False)
+    return product
+
+
+def _clear_guard_products() -> None:
+    """Forget every shared guard product and first sighting (a cold cache)."""
+    with _shared_lock:
+        _shared_products.clear()
+        _seen_keys.clear()
+
+
+class HcsSemantics(SubsetDfa):
+    """Stepping machinery for one HCS: the lazy subset DFA of its underlying
+    automaton over one ``GuardProduct`` of its guards.
+
+    The product's ``initial``, ``advance`` and ``admits`` replace the
+    trivial ones of ``SubsetDfa`` on the instance, so the stepping loops
+    call the product directly; ``trackers`` and ``products`` are the
+    product's. An ``HcsSemantics`` is itself a guard tracker
+    (``initial``/``step``/``accepting``) for a nested guard.
+    """
+
+    def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
+        self.hcs = hcs
+        self.names = hcs.guard_names()
+        index_of = {name: i for i, name in enumerate(self.names)}
+        super().__init__(hcs.underlying, {t: index_of[name] for t, name in hcs.guarded.items()})
+        product = guard_product(hcs, max_states)
+        self.trackers, self.products = product.trackers, product.products
+        self.initial_product, self.advance, self.admits = product.initial, product.advance, product.admits
 
 
 def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -> bool:

@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name
-from .core import Hcs, HcsSemantics, guard_kind
+from .core import Hcs, HcsSemantics, guard_kind, guard_product
 from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 
 REACH = "reach"
@@ -193,12 +193,12 @@ def arena_size_bounds(game: HcsGame) -> tuple[int, int]:
     """Vertex and edge bounds from the product structure.
 
     Computed over the determinized-and-completed guard DFAs actually used in
-    the arena, read off the compiled guard tables: |Q| * (sum of guard state
-    counts)^m and |T| * (sum of guard transition counts)^m, where a complete
-    DFA has states * |alphabet| transitions.
+    the arena, read off the trackers of the guard product: |Q| * (sum of
+    guard state counts)^m and |T| * (sum of guard transition counts)^m, where
+    a complete DFA has states * |alphabet| transitions.
     """
     hcs = game.hcs
-    state_counts = [len(tracker.delta) for tracker in HcsSemantics(hcs).trackers]
+    state_counts = [len(tracker.delta) for tracker in guard_product(hcs).trackers]
     m = len(state_counts)
     q_sum = sum(state_counts)
     t_sum = q_sum * len(hcs.alphabet)

@@ -205,7 +205,9 @@ def bounded_accepted_word(
     def expand(config: tuple) -> list:
         return [(sym, c) for a, sym in enumerate(symbols) for c in step_configs(vass, [config], a, max_configs)]
 
-    start = dict.fromkeys(initial_configs(vass, max_configs), ())
+    def start() -> list:
+        return initial_configs(vass, max_configs)
+
     word = layered_search(start, expand, lambda c: config_accepting(vass, *c), max_len, max_configs)
     return None if word is None else list(word)
 

@@ -411,8 +411,10 @@ def bounded_reach_empty(hcs: Hcs, max_len: int, node_cap: int = DEFAULT_STATE_CA
     def expand(v: int) -> list:
         return [(symbols[a], r) for a, w in semantics.successors(v) if a is not None for r in closed(w)]
 
-    start = closed(semantics.initial_product() * n + hcs.underlying.initial)
-    word = layered_search(dict.fromkeys(start, ()), expand, lambda v: v % n in accepting, max_len, node_cap)
+    def start() -> list[int]:
+        return closed(semantics.initial_product() * n + hcs.underlying.initial)
+
+    word = layered_search(start, expand, lambda v: v % n in accepting, max_len, node_cap)
     return BoundedEmptiness("unknown" if word is None else "nonempty", word, max_len)
 
 

@@ -408,6 +408,18 @@ class TestExitCodes:
             assert captured.out == ""
             assert "the word-length bound must be non-negative, got -3" in captured.err
 
+    def test_negative_max_len_is_checked_before_the_start_closure(self, tmp_path, capsys):
+        # A reach-mode epsilon +1 loop has an infinite closure: the bad bound
+        # must be reported before the closure can hit the cap.
+        pump = Vass(Alphabet(("a",)), 1, ("p",), 0, frozenset({0}), ((0, None, (1,), 0),), REACH)
+        path = tmp_path / "pump.json"
+        formats.save_path(str(path), pump)
+        argv = ["empty", "--model", str(path), "--engine", "bounded", "--max-len", "-1", "--max-states", "50"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the word-length bound must be non-negative, got -1" in captured.err
+
     def test_deep_nesting_is_an_exit_code_not_a_traceback(self, tmp_path, capsys):
         # One state and one a-loop per level, each guarded by the level below.
         doc = {"type": "hcs", "alphabet": ["a"], "states": ["q"], "initial": "q", "accepting": ["q"]}
