@@ -162,11 +162,13 @@ class GuardProduct:
     all over ``alphabet``; ``products`` lists the guard-runtime tuples by
     product id; ``advance`` and ``admits`` are memoized in tables that fill
     as callers reach them.
+
     The product depends on the guards and the cap alone, never on the
     system they guard, so ``guard_product`` shares one product between
     every semantics over the same regular guard objects. A shared product
-    interns new tuples under a lock; its memo tables are read without one,
-    since every entry they gain is a pure function of its key.
+    interns new tuples, and adds their table rows, under a lock; its memo
+    entries are read and written without one, since each is a pure
+    function of its key.
     """
 
     def __init__(self, alphabet: Alphabet, guards: tuple, max_states: int, shared: bool = False):
