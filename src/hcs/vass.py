@@ -21,7 +21,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from math import ceil, inf
+from operator import add, le, neg, sub
 from typing import Iterable, Optional, Sequence
 
 from .automata import DEFAULT_STATE_CAP, Alphabet, explore, layered_search
@@ -95,19 +97,15 @@ class Vass:
 
 
 def _fire(counters: tuple[int, ...], update: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    out = tuple(c + u for c, u in zip(counters, update))
-    if any(c < 0 for c in out):
-        return None
-    return out
+    out = tuple(map(add, counters, update))
+    return None if min(out) < 0 else out
 
 
 def config_accepting(vass: Vass, state: int, counters: tuple[int, ...]) -> bool:
     """Acceptance of a single configuration under the VASS's mode."""
     if state not in vass.accepting:
         return False
-    if vass.mode == REACH:
-        return all(c == 0 for c in counters)
-    return True
+    return vass.mode != REACH or not any(counters)
 
 
 def eps_closure_configs(
@@ -147,7 +145,7 @@ def eps_closure_configs(
             (state, counters)
             for state, kept in found.items()
             for counters in kept
-            if not any(other != counters and _vec_leq(counters, other) for other in kept)
+            if not any(other != counters and all(map(le, counters, other)) for other in kept)
         )
     closure, _, _ = explore(configs, lambda c: [(t, (d, f)) for t, d, f in moves(*c)], max_configs, limit)
     return frozenset(closure)
@@ -273,6 +271,8 @@ def decide_coverability(
     node_cap: int = DEFAULT_STATE_CAP,
 ) -> CoverabilityResult:
     """Decide coverability with the requested engine ("km" or "backward")."""
+    if node_cap < 1:
+        raise InputError(f"node cap must be at least 1, got {node_cap}")
     if engine == "km":
         return _km_coverability(instance, node_cap)
     if engine == "backward":
@@ -282,10 +282,6 @@ def decide_coverability(
 
 # ---------------------------------------------------------------------------
 # Karp-Miller tree
-
-
-def _vec_leq(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def karp_miller(roots, moves, cap: int, limit: str, stop=None):
@@ -317,17 +313,17 @@ def karp_miller(roots, moves, cap: int, limit: str, stop=None):
             accels = ()
             if parent >= 0:
                 vec, accels = _accelerate(nodes, parent, via, control, vec)
-            kept = found.get(control)
-            if kept is None:
-                kept = found[control] = []
-            elif any(_vec_leq(vec, other) for other in kept):
-                continue
-            if parent >= 0 and len(nodes) >= cap:
-                raise ResourceLimitError(limit.format(cap), cap)
-            kept.append(vec)
-            nodes.append((control, vec, parent, via, accels))
-            if stop is not None and stop(control, vec):
-                return nodes, len(nodes) - 1
+            kept = found.setdefault(control, [])
+            for other in kept:
+                if all(map(le, vec, other)):
+                    break
+            else:
+                if parent >= 0 and len(nodes) >= cap:
+                    raise ResourceLimitError(limit.format(cap), cap)
+                kept.append(vec)
+                nodes.append((control, vec, parent, via, accels))
+                if stop is not None and stop(control, vec):
+                    return nodes, len(nodes) - 1
         parent += 1
         if parent == len(nodes):
             return nodes, None
@@ -345,7 +341,7 @@ def _accelerate(nodes: list[tuple], parent: int, via, control, vec: tuple) -> tu
     j = parent
     while j >= 0:
         anc_control, anc_vec, up = nodes[j][0], nodes[j][1], nodes[j][2]
-        if anc_control == control and _vec_leq(anc_vec, vec):
+        if anc_control == control and all(map(le, anc_vec, vec)):
             # Omega entries are inherited along the path, so a component
             # finite at the node is finite at every ancestor too.
             grown = [x < y != inf for x, y in zip(anc_vec, vec)]
@@ -380,7 +376,7 @@ def _km_coverability(instance: CoverabilityInstance, node_cap: int) -> Coverabil
         moves,
         node_cap,
         "Karp-Miller tree exceeded {} nodes",
-        lambda state, vec: state == target and _vec_leq(needed, vec),
+        lambda state, vec: state == target and all(map(le, needed, vec)),
     )
     if hit is None:
         return CoverabilityResult(False, None, "km", len(nodes))
@@ -457,35 +453,39 @@ def _km_witness(
 
 def _backward(instance: CoverabilityInstance, node_cap: int) -> CoverabilityResult:
     vass = instance.vass
-    into_state: dict[int, list[int]] = {}
-    for i, (_, _, _, dst) in enumerate(vass.transitions):
-        into_state.setdefault(dst, []).append(i)
+    # Per target state: (transition, source, update, least), where ``least``
+    # is the smallest vector from which the update can fire.
+    into_state: dict[int, list[tuple]] = {}
+    for t, (src, _, update, dst) in enumerate(vass.transitions):
+        least = tuple(map(max, map(neg, update), repeat(0)))
+        into_state.setdefault(dst, []).append((t, src, update, least))
 
     # Minimal basis of configurations from which the target is coverable,
-    # each carrying a firing sequence that works from anything above it.
-    basis: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {
-        instance.target: [(tuple(instance.target_counters), ())]
-    }
-    worklist = deque([(instance.target, tuple(instance.target_counters), ())])
+    # per state a dict from basis vector to a firing sequence that works
+    # from anything above it, in insertion order.
+    target, seq = tuple(instance.target_counters), ()
+    basis: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {instance.target: {target: seq}}
+    worklist = deque([(instance.target, target, seq)])
     explored = 0
     while worklist:
         state, vec, seq = worklist.popleft()
-        if (vec, seq) not in basis.get(state, []):
-            continue  # pruned while queued
+        if basis[state].get(vec) is not seq:
+            continue  # pruned while queued; something below it stays, so it never re-enters
         explored += 1
         if explored > node_cap:
             raise ResourceLimitError(f"backward coverability exceeded {node_cap} elements", node_cap)
-        for t in into_state.get(state, ()):
-            src, _, update, _ = vass.transitions[t]
-            pred = tuple(max(0, -u, v - u) for v, u in zip(vec, update))
-            entry = (pred, (t,) + seq)
-            existing = basis.setdefault(src, [])
-            if any(_vec_leq(old, pred) for old, _ in existing):
-                continue
-            basis[src] = [(old, s) for old, s in existing if not _vec_leq(pred, old)]
-            basis[src].append(entry)
-            worklist.append((src, pred, entry[1]))
-    for vec, seq in basis.get(instance.source, []):
-        if _vec_leq(vec, instance.source_counters):
+        for t, src, update, least in into_state.get(state, ()):
+            pred = tuple(map(max, least, map(sub, vec, update)))
+            existing = basis.setdefault(src, {})
+            for old in existing:
+                if all(map(le, old, pred)):
+                    break
+            else:
+                for old in [old for old in existing if all(map(le, pred, old))]:
+                    del existing[old]
+                existing[pred] = entry = (t, *seq)
+                worklist.append((src, pred, entry))
+    for vec, seq in basis.get(instance.source, {}).items():
+        if all(map(le, vec, instance.source_counters)):
             return CoverabilityResult(True, seq, "backward", explored)
     return CoverabilityResult(False, None, "backward", explored)

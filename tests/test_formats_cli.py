@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from hcs.core import Hcs, member
 from hcs.errors import HcsError, InputError
 from hcs.games import solve_countdown, solve_hcs_game
 from hcs.models import AB, branching_nonempty_hcs
-from hcs.vass import REACH, CoverabilityInstance, Vass, decide_coverability
+from hcs.vass import REACH, Vass
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 MODEL_FILES = sorted(f for f in os.listdir(MODELS) if f.endswith(".json"))
@@ -274,38 +275,14 @@ class TestCliVerdictsMatchLibrary:
         assert code == 0 and verdict["winner"] == 1
 
     def test_vass_cover(self, capsys):
-        code, verdict = run_cli(
-            capsys,
-            [
-                "vass",
-                "cover",
-                "--model",
-                model_path("count_balanced_vass.json"),
-                "--target",
-                "draining",
-            ],
-        )
-        assert code == 0
-        model = formats.load_path(model_path("count_balanced_vass.json"))
-        expected = decide_coverability(
-            CoverabilityInstance(model, model.initial, model.state_index("draining"), (0,)), "km"
-        )
-        assert verdict["coverable"] == expected.coverable
-        assert verdict["engine"] == "km"
-        code, verdict = run_cli(
-            capsys,
-            [
-                "vass",
-                "cover",
-                "--model",
-                model_path("count_balanced_vass.json"),
-                "--target",
-                "draining",
-                "--engine",
-                "backward",
-            ],
-        )
-        assert code == 0 and verdict["coverable"] == expected.coverable
+        argv = ["vass", "cover", "--model", model_path("count_balanced_vass.json"), "--target", "draining"]
+        # The whole stdout, witness and node count included; km is the default.
+        cases = (([], "km", 3), (["--engine", "km"], "km", 3), (["--engine", "backward"], "backward", 2))
+        for options, engine, nodes in cases:
+            assert run_cli(capsys, [*argv, *options]) == (
+                0,
+                {"coverable": True, "witness": ["eps"], "engine": engine, "nodes_explored": nodes},
+            )
 
     def test_vass_member_and_empty(self, capsys):
         code, verdict = run_cli(
@@ -479,7 +456,7 @@ class TestExitCodes:
             assert run_cli(capsys, ["empty", "--model", str(path), *options]) == (0, {"empty": empty})
 
     def test_countdown_table_cap_is_exit_three(self, tmp_path, capsys):
-        doc = json.loads(open(model_path("countdown_loop2_target3.json")).read())
+        doc = json.loads(Path(model_path("countdown_loop2_target3.json")).read_text())
         doc["target"] = 10**11
         path = tmp_path / "huge_target.json"
         path.write_text(json.dumps(doc))

@@ -203,6 +203,32 @@ class TestCoverability:
         state, counters = replay_transitions(vass, (0, (0,)), result.witness)
         assert state == 1 and counters[0] >= 5
 
+    def test_backward_skips_elements_pruned_while_queued(self):
+        # Backward from (t, 1): q gets (1,) and p gets (3,), queued in that
+        # order. Expanding q gives p the smaller (1,), which prunes the queued
+        # (3,); it is skipped when dequeued, so only (t, 1), (q, 1), (p, 1)
+        # and (s, 0) are expanded. Expanding (p, 3) too would count 6.
+        vass = Vass(
+            AB, 1, ("s", "p", "q", "t"), 0, frozenset({3}),
+            ((2, 0, (0,), 3), (1, 0, (-2,), 3), (1, 1, (0,), 2), (0, 0, (1,), 1)),
+            COVER,
+        )
+        result = decide_coverability(CoverabilityInstance(vass, 0, 3, (1,)), "backward")
+        assert result.coverable and result.nodes_explored == 4
+        assert result.witness == (3, 2, 0)
+        state, counters = replay_transitions(vass, (0, (0,)), result.witness)
+        assert state == 3 and counters[0] >= 1
+
+    def test_node_cap_is_validated_for_both_engines(self):
+        vass = count_balanced_vass()
+        instance = CoverabilityInstance(vass, 0, 1, (0,))
+        for engine in ("km", "backward"):
+            for cap in (0, -1):
+                with pytest.raises(InputError, match=f"node cap must be at least 1, got {cap}"):
+                    decide_coverability(instance, engine, node_cap=cap)
+        with pytest.raises(ResourceLimitError, match="backward coverability exceeded 1 elements"):
+            decide_coverability(instance, "backward", node_cap=1)
+
     def test_engines_agree_with_brute_force(self):
         rng = random.Random(424242)
         checked = 0
