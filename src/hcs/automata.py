@@ -8,6 +8,7 @@ construction and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import inf
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceLimitError
@@ -476,9 +477,7 @@ def _subset_name(subset: frozenset[int], names: Sequence[str]) -> str:
 
 def is_empty(automaton: FiniteAutomaton) -> bool:
     """True iff no accepting state is reachable from the initial state."""
-    # One vertex per state at most, so the cap never binds.
-    n = len(automaton.states)
-    return SubsetDfa(automaton).explore(n, "", automaton.accepting)[2] is None
+    return SubsetDfa(automaton).explore(inf, "", automaton.accepting)[2] is None
 
 
 def minimize(dfa: FiniteAutomaton, max_states: int = DEFAULT_STATE_CAP) -> FiniteAutomaton:

@@ -270,8 +270,7 @@ def _cmd_bench_primes(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
-    model = formats.canonicalize(formats.load_path(args.model))
-    text = formats.dumps(formats.to_document(model))
+    text = formats.dumps(formats.canonical_document(formats.to_document(formats.load_path(args.model))))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

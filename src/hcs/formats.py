@@ -3,8 +3,10 @@
 Each document is an object with a "type" field in {nfa, dfa, hcs, game,
 vass, countdown, 2cm}. Parsing is strict: unknown fields are rejected,
 "eps" is reserved for epsilon labels, and "$" is an ordinary symbol.
-Round trips are stable (parse(serialize(x)) equals x structurally);
-``canonicalize`` additionally sorts transition lists so that fmt output is
+Round trips are stable (parse(serialize(x)) equals x structurally). The
+canonical order is computed on the document: ``canonical_document`` sorts
+every transition and edge list, guards included, by (from, label or 2cm
+action with epsilon first, weight, to, update), so that fmt output is
 byte-identical for structurally equal models.
 """
 
@@ -337,64 +339,31 @@ def from_document(doc: dict) -> Model:
 # Canonical form
 
 
-def _transition_key(t):
-    src, label, dst = t[0], t[1], t[-1]
-    return (src, -1 if label is None else label, dst)
+def canonical_document(doc: dict) -> dict:
+    """The document with every transition and edge list stably sorted by the
+    module docstring's key, recursively through guards; states, symbols and
+    2cm actions rank by position in its ``states`` and ``alphabet`` (or
+    ``ACTIONS``)."""
+    state = {name: i for i, name in enumerate(doc["states"])}
+    rank = {name: i for i, name in enumerate(doc.get("alphabet", ACTIONS))}
+
+    def key(entry: dict) -> tuple:
+        # "eps" is in no alphabet and a countdown edge has no label: both rank -1.
+        label = rank.get(entry.get("label", entry.get("action")), -1)
+        return (state[entry["from"]], label, entry.get("weight", 0), state[entry["to"]], entry.get("update", ()))
+
+    out = dict(doc)
+    for field in ("transitions", "edges"):
+        if field in doc:
+            out[field] = sorted(doc[field], key=key)
+    if "guards" in doc:
+        out["guards"] = {name: canonical_document(guard) for name, guard in doc["guards"].items()}
+    return out
 
 
 def canonicalize(model: Model) -> Model:
-    """Sort transition lists (recursively through guards) for stable output."""
-    if isinstance(model, FiniteAutomaton):
-        return FiniteAutomaton(
-            alphabet=model.alphabet,
-            states=model.states,
-            initial=model.initial,
-            accepting=model.accepting,
-            transitions=tuple(sorted(model.transitions, key=_transition_key)),
-        )
-    if isinstance(model, HcsGame):
-        return HcsGame(canonicalize(model.hcs), model.owner, model.objective)
-    if isinstance(model, Hcs):
-        annotated = [
-            (t, hg)
-            for t, hg in (
-                (model.underlying.transitions[i], model.guarded.get(i))
-                for i in range(len(model.underlying.transitions))
-            )
-        ]
-        annotated.sort(key=lambda pair: _transition_key(pair[0]))
-        underlying = FiniteAutomaton(
-            alphabet=model.underlying.alphabet,
-            states=model.underlying.states,
-            initial=model.underlying.initial,
-            accepting=model.underlying.accepting,
-            transitions=tuple(t for t, _ in annotated),
-        )
-        guarded = {i: g for i, (_, g) in enumerate(annotated) if g is not None}
-        guards = {name: canonicalize(model.guards[name]) for name in sorted(model.guards)}
-        return Hcs(model.alphabet, underlying, guards, guarded)
-    if isinstance(model, Vass):
-        return Vass(
-            alphabet=model.alphabet,
-            dim=model.dim,
-            states=model.states,
-            initial=model.initial,
-            accepting=model.accepting,
-            transitions=tuple(
-                sorted(model.transitions, key=lambda t: (t[0], -1 if t[1] is None else t[1], t[3], t[2]))
-            ),
-            mode=model.mode,
-        )
-    if isinstance(model, CountdownGame):
-        return CountdownGame(model.states, model.initial, model.target, tuple(sorted(model.edges)))
-    if isinstance(model, TwoCounterMachine):
-        return TwoCounterMachine(
-            model.states,
-            tuple(sorted(model.transitions, key=lambda t: (t[0], ACTIONS.index(t[1]), t[2]))),
-            model.source,
-            model.target,
-        )
-    raise InputError(f"cannot canonicalize {type(model).__name__}")
+    """The model rebuilt from its canonical document."""
+    return from_document(canonical_document(to_document(model)))
 
 
 def dumps(doc: dict) -> str:

@@ -223,6 +223,9 @@ class CoverabilityInstance:
     def __post_init__(self):
         if self.vass.mode != COVER:
             raise ContractError("coverability is defined for cover-mode VASS")
+        n = len(self.vass.states)
+        if not (0 <= self.source < n and 0 <= self.target < n):
+            raise InputError(f"source {self.source} and target {self.target} must be state indices below {n}")
         if self.source_counters is None:
             object.__setattr__(self, "source_counters", (0,) * self.vass.dim)
         if len(self.target_counters) != self.vass.dim or len(self.source_counters) != self.vass.dim:
@@ -383,17 +386,9 @@ def _km_coverability(instance: CoverabilityInstance, node_cap: int) -> Coverabil
     return CoverabilityResult(True, tuple(_km_witness(vass, nodes, hit, instance)), "km", len(nodes))
 
 
-def _cycle_effect(vass: Vass, cycle: Sequence[int]) -> list[int]:
-    eff = [0] * vass.dim
-    for t in cycle:
-        update = vass.transitions[t][2]
-        for j in range(vass.dim):
-            eff[j] += update[j]
-    return eff
-
-
-def _firing_requirement(vass: Vass, firing: Sequence[int]) -> list[int]:
-    """Minimal start vector from which the sequence fires once."""
+def _firing_requirement(vass: Vass, firing: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Minimal start vector from which the sequence fires once, and the
+    sequence's effect."""
     req = [0] * vass.dim
     running = [0] * vass.dim
     for t in firing:
@@ -402,7 +397,7 @@ def _firing_requirement(vass: Vass, firing: Sequence[int]) -> list[int]:
             running[j] += update[j]
             if -running[j] > req[j]:
                 req[j] = -running[j]
-    return req
+    return req, running
 
 
 def _km_witness(
@@ -425,8 +420,7 @@ def _km_witness(
     for node_idx in reversed(path[1:]):
         via, accels = nodes[node_idx][3:]
         for cycle, pre_vec in reversed(accels):
-            effect = _cycle_effect(vass, cycle)
-            req = _firing_requirement(vass, cycle)
+            req, effect = _firing_requirement(vass, cycle)
             k = 0
             for j in range(vass.dim):
                 base = pre_vec[j]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import prod
+from math import inf
 from typing import Optional
 
 from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name, _missing_moves, _trusted
@@ -145,9 +145,7 @@ def product_vass(hcs: Hcs, assume_non_dying: bool = False) -> Vass:
             for _, label, nxt, updates in moves(control)
         ]
 
-    # One vertex per control at most, so the cap never binds.
-    n_controls = len(auto.states) * prod(len(g.states) for g in completed)
-    controls, edges, _ = explore([(auto.initial, *[g.initial for g in completed])], successors, n_controls, "")
+    controls, edges, _ = explore([(auto.initial, *[g.initial for g in completed])], successors, inf, "")
     transitions = [(v, label, update, w) for v, (label, update), w in edges]
     final = len(controls)
     transitions += [(v, None, zero, final) for v, c in enumerate(controls) if c[0] in auto.accepting]

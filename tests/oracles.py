@@ -53,22 +53,66 @@ class NfaStepper:
 
 
 class HcsStepper:
-    """Membership-side stepper over the library's lazy DFA: its states are
-    DFA state ids, so equal configurations dedupe across depths."""
+    """Raw configurations of an HCS, stepped as the README's semantics notes
+    say: an epsilon-closed set of underlying states plus one runtime per
+    guard, in name order. A runtime is a state of the guard's own stepper
+    (``NfaStepper``, ``VassStepper`` or a nested ``HcsStepper``), advanced on
+    every symbol read and never on an epsilon move. A guarded transition is
+    taken only where its guard accepts the current runtime. A configuration
+    with no underlying state left is ``(frozenset(), None)`` for good."""
 
     def __init__(self, hcs):
-        from hcs.core import HcsSemantics
+        self.hcs = hcs
+        names = sorted(hcs.guards)
+        self.guards = [_guard_stepper(hcs.guards[name]) for name in names]
+        position = {name: i for i, name in enumerate(names)}
+        self.delta = {}
+        for t, (src, label, dst) in enumerate(hcs.underlying.transitions):
+            name = hcs.guarded.get(t)
+            self.delta.setdefault((src, label), []).append((dst, None if name is None else position[name]))
 
-        self.semantics = HcsSemantics(hcs)
+    def _targets(self, states, label, runtimes):
+        return {
+            dst
+            for q in states
+            for dst, g in self.delta.get((q, label), ())
+            if g is None or self.guards[g].accepting(runtimes[g])
+        }
+
+    def _closure(self, states, runtimes):
+        seen = set(states)
+        todo = list(states)
+        while todo:
+            for dst in self._targets([todo.pop()], None, runtimes):
+                if dst not in seen:
+                    seen.add(dst)
+                    todo.append(dst)
+        return frozenset(seen)
 
     def initial(self):
-        return self.semantics.initial()
+        runtimes = tuple(guard.initial() for guard in self.guards)
+        return self._closure({self.hcs.underlying.initial}, runtimes), runtimes
 
-    def step(self, d, symbol):
-        return self.semantics.step(d, symbol)
+    def step(self, config, symbol):
+        states, runtimes = config
+        targets = self._targets(states, symbol, runtimes)
+        if not targets:
+            return frozenset(), None
+        runtimes = tuple(guard.step(r, symbol) for guard, r in zip(self.guards, runtimes))
+        return self._closure(targets, runtimes), runtimes
 
-    def accepting(self, d):
-        return bool(self.semantics.configs[d][0] & self.semantics.hcs.underlying.accepting)
+    def accepting(self, config):
+        return bool(config[0] & self.hcs.underlying.accepting)
+
+
+def _guard_stepper(guard):
+    """The stepper of a guard, told apart by its fields: an HCS has an
+    underlying automaton, a VASS a dimension."""
+    if hasattr(guard, "underlying"):
+        return HcsStepper(guard)
+    if hasattr(guard, "dim"):
+        return VassStepper(guard)
+    return NfaStepper(guard)
 
 
 def first_disagreement(a, b, n_symbols, max_len):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -44,18 +45,27 @@ class TestDocuments:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
-    def test_fmt_canonicalizes_reordered_transitions(self, tmp_path, capsys):
-        doc = formats.to_document(branching_nonempty_hcs())
-        shuffled = dict(doc)
-        shuffled["transitions"] = list(reversed(doc["transitions"]))
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        a.write_text(json.dumps(doc))
-        b.write_text(json.dumps(shuffled))
-        fa, fb = tmp_path / "fa.json", tmp_path / "fb.json"
-        cli.main(["fmt", "--model", str(a), "--out", str(fa)])
-        cli.main(["fmt", "--model", str(b), "--out", str(fb)])
-        capsys.readouterr()
-        assert fa.read_bytes() == fb.read_bytes()
+    @pytest.mark.parametrize("name", MODEL_FILES)
+    def test_fmt_canonicalizes_reordered_transitions(self, name, tmp_path, capsys):
+        # Every transition and edge list shuffled, inside guards too.
+        def shuffled(doc, rng):
+            doc = dict(doc)
+            for field in ("transitions", "edges"):
+                if field in doc:
+                    doc[field] = rng.sample(doc[field], len(doc[field]))
+            if "guards" in doc:
+                doc["guards"] = {g: shuffled(guard, rng) for g, guard in doc["guards"].items()}
+            return doc
+
+        doc = json.loads(Path(model_path(name)).read_text())
+        assert cli.main(["fmt", "--model", model_path(name)]) == 0
+        expected = capsys.readouterr().out
+        rng = random.Random(name)
+        for i in range(5):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(shuffled(doc, rng)))
+            assert cli.main(["fmt", "--model", str(path)]) == 0
+            assert capsys.readouterr().out == expected
 
     def test_fmt_to_stdout(self, capsys):
         assert cli.main(["fmt", "--model", model_path("branching_empty.json")]) == 0

@@ -229,6 +229,14 @@ class TestCoverability:
         with pytest.raises(ResourceLimitError, match="backward coverability exceeded 1 elements"):
             decide_coverability(instance, "backward", node_cap=1)
 
+    @pytest.mark.parametrize("engine", ["km", "backward"])
+    @pytest.mark.parametrize("source, target", [(0, 5), (7, 1), (-1, 1), (0, -1), (2, 0)])
+    def test_state_indices_are_validated(self, engine, source, target):
+        # count_balanced_vass has two states: an index outside [0, 2) used to
+        # be answered "not coverable", raise IndexError, or wrap around.
+        with pytest.raises(InputError, match="must be state indices below 2"):
+            decide_coverability(CoverabilityInstance(count_balanced_vass(), source, target, (0,)), engine)
+
     def test_engines_agree_with_brute_force(self):
         rng = random.Random(424242)
         checked = 0
