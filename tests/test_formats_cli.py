@@ -45,8 +45,21 @@ class TestDocuments:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
+    def test_fmt_canonicalizes_reordered_transitions(self, tmp_path, capsys):
+        doc = formats.to_document(branching_nonempty_hcs())
+        shuffled = dict(doc)
+        shuffled["transitions"] = list(reversed(doc["transitions"]))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(doc))
+        b.write_text(json.dumps(shuffled))
+        fa, fb = tmp_path / "fa.json", tmp_path / "fb.json"
+        cli.main(["fmt", "--model", str(a), "--out", str(fa)])
+        cli.main(["fmt", "--model", str(b), "--out", str(fb)])
+        capsys.readouterr()
+        assert fa.read_bytes() == fb.read_bytes()
+
     @pytest.mark.parametrize("name", MODEL_FILES)
-    def test_fmt_canonicalizes_reordered_transitions(self, name, tmp_path, capsys):
+    def test_fmt_canonicalizes_shuffled_model_file(self, name, tmp_path, capsys):
         # Every transition and edge list shuffled, inside guards too.
         def shuffled(doc, rng):
             doc = dict(doc)
