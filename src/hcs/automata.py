@@ -73,28 +73,7 @@ class FiniteAutomaton:
     deterministic: bool = field(init=False)
 
     def __post_init__(self):
-        n = len(self.states)
-        if len(set(self.states)) != n:
-            raise InputError("duplicate state names")
-        if not 0 <= self.initial < n:
-            raise InputError(f"initial state index {self.initial} out of range")
-        for q in self.accepting:
-            if not 0 <= q < n:
-                raise InputError(f"accepting state index {q} out of range")
-        n_sym = len(self.alphabet)
-        seen = set()
-        keys = set()
-        for src, label, dst in self.transitions:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise InputError(f"transition ({src}, {label}, {dst}) has an out-of-range state")
-            if label is not None and not 0 <= label < n_sym:
-                raise InputError(f"transition label index {label} out of range")
-            if (src, label, dst) in seen:
-                raise InputError(f"duplicate transition ({src}, {label}, {dst})")
-            seen.add((src, label, dst))
-            keys.add((src, label))
-        det = all(label is not None for _, label, _ in self.transitions) and len(keys) == len(seen)
-        object.__setattr__(self, "deterministic", det)
+        object.__setattr__(self, "deterministic", _check_control(self))
 
     def size(self) -> int:
         """Size measure: number of states plus number of transitions."""
@@ -109,6 +88,36 @@ class FiniteAutomaton:
     def is_complete(self) -> bool:
         """True if every (state, symbol) pair has at least one transition."""
         return not _missing_moves(len(self.states), len(self.alphabet), self.transitions)
+
+
+def _check_control(machine) -> bool:
+    """Validate the finite control of an automaton or VASS and return its
+    determinism flag: no epsilon move and at most one move per (state,
+    symbol). Transitions start (from-state, label, ...) and end with the
+    to-state; a transition listed twice is refused."""
+    n = len(machine.states)
+    if len(set(machine.states)) != n:
+        raise InputError("duplicate state names")
+    if not 0 <= machine.initial < n:
+        raise InputError(f"initial state index {machine.initial} out of range")
+    for q in machine.accepting:
+        if not 0 <= q < n:
+            raise InputError(f"accepting state index {q} out of range")
+    n_sym = len(machine.alphabet)
+    seen = set()
+    keys = set()
+    for t in machine.transitions:
+        src, label, dst = t[0], t[1], t[-1]
+        if not (0 <= src < n and 0 <= dst < n):
+            raise InputError(f"transition ({src}, {label}, {dst}) has an out-of-range state")
+        if label is not None and not 0 <= label < n_sym:
+            raise InputError(f"transition label index {label} out of range")
+        size = len(seen)
+        seen.add(t)  # hashed once: a VASS transition holds its update tuple
+        if len(seen) == size:
+            raise InputError(f"duplicate transition ({src}, {label}, {dst})")
+        keys.add((src, label))
+    return all(t[1] is not None for t in machine.transitions) and len(keys) == len(seen)
 
 
 def _fresh_name(base: str, taken: Collection[str]) -> str:

@@ -89,25 +89,36 @@ def _label_index(alpha: Alphabet, label: Any, context: str) -> Optional[int]:
 # Serialization
 
 
-def _automaton_fields(fa: FiniteAutomaton) -> dict:
-    return {
-        "alphabet": list(fa.alphabet.symbols),
-        "states": list(fa.states),
-        "initial": fa.states[fa.initial],
-        "accepting": [fa.states[q] for q in sorted(fa.accepting)],
-        "transitions": [
+def _control_fields(machine: FiniteAutomaton | Vass, kind: str) -> dict:
+    """The document of an automaton or VASS; a VASS adds "dim" and "mode"
+    after the alphabet and an "update" before each transition's "to"."""
+    states, symbols = machine.states, machine.alphabet.symbols
+    doc = {"type": kind, "alphabet": list(symbols)}
+    if kind == "vass":
+        doc["dim"], doc["mode"] = machine.dim, machine.mode
+        transitions = [
             {
-                "from": fa.states[src],
-                "label": EPS_NAME if label is None else fa.alphabet.symbols[label],
-                "to": fa.states[dst],
+                "from": states[src],
+                "label": EPS_NAME if label is None else symbols[label],
+                "update": list(update),
+                "to": states[dst],
             }
-            for src, label, dst in fa.transitions
-        ],
-    }
+            for src, label, update, dst in machine.transitions
+        ]
+    else:
+        transitions = [
+            {"from": states[src], "label": EPS_NAME if label is None else symbols[label], "to": states[dst]}
+            for src, label, dst in machine.transitions
+        ]
+    doc["states"] = list(states)
+    doc["initial"] = states[machine.initial]
+    doc["accepting"] = [states[q] for q in sorted(machine.accepting)]
+    doc["transitions"] = transitions
+    return doc
 
 
-def _hcs_fields(hcs: Hcs) -> dict:
-    doc = _automaton_fields(hcs.underlying)
+def _hcs_fields(hcs: Hcs, kind: str) -> dict:
+    doc = _control_fields(hcs.underlying, kind)
     for idx, name in sorted(hcs.guarded.items()):
         doc["transitions"][idx]["guard"] = name
     doc["guards"] = {name: to_document(hcs.guards[name]) for name in sorted(hcs.guards)}
@@ -117,9 +128,9 @@ def _hcs_fields(hcs: Hcs) -> dict:
 def to_document(model: Model) -> dict:
     """Serialize any model value to its JSON document."""
     if isinstance(model, FiniteAutomaton):
-        return {"type": "dfa" if model.deterministic else "nfa", **_automaton_fields(model)}
+        return _control_fields(model, "dfa" if model.deterministic else "nfa")
     if isinstance(model, HcsGame):
-        doc = {"type": "game", **_hcs_fields(model.hcs)}
+        doc = _hcs_fields(model.hcs, "game")
         states = model.hcs.underlying.states
         doc["owner"] = {states[q]: model.owner[q] for q in range(len(states))}
         doc["objective"] = {
@@ -128,26 +139,9 @@ def to_document(model: Model) -> dict:
         }
         return doc
     if isinstance(model, Hcs):
-        return {"type": "hcs", **_hcs_fields(model)}
+        return _hcs_fields(model, "hcs")
     if isinstance(model, Vass):
-        return {
-            "type": "vass",
-            "alphabet": list(model.alphabet.symbols),
-            "dim": model.dim,
-            "mode": model.mode,
-            "states": list(model.states),
-            "initial": model.states[model.initial],
-            "accepting": [model.states[q] for q in sorted(model.accepting)],
-            "transitions": [
-                {
-                    "from": model.states[src],
-                    "label": EPS_NAME if label is None else model.alphabet.symbols[label],
-                    "update": list(update),
-                    "to": model.states[dst],
-                }
-                for src, label, update, dst in model.transitions
-            ],
-        }
+        return _control_fields(model, "vass")
     if isinstance(model, CountdownGame):
         return {
             "type": "countdown",
@@ -181,40 +175,43 @@ def _parse_alphabet(doc: dict, context: str) -> Alphabet:
     return Alphabet(tuple(_strings(doc, "alphabet", context)))
 
 
-def _parse_automaton(doc: dict, context: str, allow_guards: bool = False):
-    alpha = _parse_alphabet(doc, context)
-    states, index = _state_table(doc, context)
-    initial = _state_index(index, doc["initial"], context)
-    accepting = frozenset(_state_index(index, q, context) for q in _entries(doc, "accepting", context))
+def _parse_control(doc: dict, kind: str, guards: bool = False):
+    """The automaton or VASS of a document of type ``kind``, and the guard
+    name of each transition that has one (only if ``guards`` allows it)."""
+    alpha = _parse_alphabet(doc, kind)
+    states, index = _state_table(doc, kind)
+    initial = _state_index(index, doc["initial"], kind)
+    accepting = frozenset(_state_index(index, q, kind) for q in _entries(doc, "accepting", kind))
+    vass = kind == "vass"
+    fields = ("from", "label", "update", "to") if vass else ("from", "label", "to")
+    optional = ("guard",) if guards else ()
     transitions = []
     guarded: dict[int, str] = {}
-    for i, entry in enumerate(_entries(doc, "transitions", context)):
-        _expect_keys(
-            entry,
-            f"{context}: transition {i}",
-            ("from", "label", "to"),
-            ("guard",) if allow_guards else (),
-        )
-        src = _state_index(index, entry["from"], context)
-        dst = _state_index(index, entry["to"], context)
-        label = _label_index(alpha, entry["label"], context)
-        transitions.append((src, label, dst))
-        if allow_guards and "guard" in entry:
+    for i, entry in enumerate(_entries(doc, "transitions", kind)):
+        context = f"{kind}: transition {i}"
+        _expect_keys(entry, context, fields, optional)
+        src = _state_index(index, entry["from"], kind)
+        label = _label_index(alpha, entry["label"], kind)
+        dst = _state_index(index, entry["to"], kind)
+        if vass:
+            update = entry["update"]
+            if not isinstance(update, list) or not all(type(u) is int for u in update):
+                raise InputError(f"{context}: update must be a list of integers")
+            transitions.append((src, label, tuple(update), dst))
+        else:
+            transitions.append((src, label, dst))
+        if "guard" in entry:
             if not isinstance(entry["guard"], str):
-                raise InputError(f"{context}: transition {i}: guard must be a string")
+                raise InputError(f"{context}: guard must be a string")
             guarded[i] = entry["guard"]
-    automaton = FiniteAutomaton(
-        alphabet=alpha,
-        states=tuple(states),
-        initial=initial,
-        accepting=accepting,
-        transitions=tuple(transitions),
-    )
-    return automaton, guarded
+    if vass:
+        dim = _int(doc, "dim", kind)
+        return Vass(alpha, dim, tuple(states), initial, accepting, tuple(transitions), doc["mode"]), guarded
+    return FiniteAutomaton(alpha, tuple(states), initial, accepting, tuple(transitions)), guarded
 
 
 def _parse_hcs(doc: dict, context: str) -> Hcs:
-    underlying, guarded = _parse_automaton(doc, context, allow_guards=True)
+    underlying, guarded = _parse_control(doc, context, guards=True)
     guards = {}
     for name, guard_doc in _object(doc, "guards", context).items():
         guards[name] = from_document(guard_doc)
@@ -231,7 +228,7 @@ def from_document(doc: dict) -> Model:
     base = ("type", "alphabet", "states", "initial", "accepting", "transitions")
     if kind in ("nfa", "dfa"):
         _expect_keys(doc, kind, base)
-        automaton, _ = _parse_automaton(doc, kind)
+        automaton, _ = _parse_control(doc, kind)
         if kind == "dfa" and not automaton.deterministic:
             raise InputError('document of type "dfa" is not deterministic')
         return automaton
@@ -267,31 +264,7 @@ def from_document(doc: dict) -> Model:
         return HcsGame(hcs, tuple(owner), objective)
     if kind == "vass":
         _expect_keys(doc, kind, ("type", "alphabet", "dim", "mode", "states", "initial", "accepting", "transitions"))
-        alpha = _parse_alphabet(doc, kind)
-        states, index = _state_table(doc, kind)
-        transitions = []
-        for i, entry in enumerate(_entries(doc, "transitions", kind)):
-            _expect_keys(entry, f"vass transition {i}", ("from", "label", "update", "to"))
-            update = entry["update"]
-            if not isinstance(update, list) or not all(type(u) is int for u in update):
-                raise InputError(f"vass transition {i}: update must be a list of integers")
-            transitions.append(
-                (
-                    _state_index(index, entry["from"], kind),
-                    _label_index(alpha, entry["label"], kind),
-                    tuple(update),
-                    _state_index(index, entry["to"], kind),
-                )
-            )
-        return Vass(
-            alphabet=alpha,
-            dim=_int(doc, "dim", kind),
-            states=tuple(states),
-            initial=_state_index(index, doc["initial"], kind),
-            accepting=frozenset(_state_index(index, q, kind) for q in _entries(doc, "accepting", kind)),
-            transitions=tuple(transitions),
-            mode=doc["mode"],
-        )
+        return _parse_control(doc, kind)[0]
     if kind == "countdown":
         _expect_keys(doc, kind, ("type", "states", "initial", "target", "edges"))
         states, index = _state_table(doc, kind)

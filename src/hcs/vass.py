@@ -26,7 +26,7 @@ from math import ceil, inf
 from operator import add, le, neg, sub
 from typing import Iterable, Optional, Sequence
 
-from .automata import DEFAULT_STATE_CAP, Alphabet, explore, layered_search
+from .automata import DEFAULT_STATE_CAP, Alphabet, _check_control, explore, layered_search
 from .errors import ContractError, InputError, ResourceLimitError
 
 COVER = "cover"
@@ -39,6 +39,7 @@ class Vass:
 
     Transitions are (from-state, label, update, to-state) with label a symbol
     index or None for epsilon and update an integer vector of length ``dim``.
+    The control is validated by the automaton rule, ``_check_control``.
     """
 
     alphabet: Alphabet
@@ -55,24 +56,10 @@ class Vass:
             raise InputError("VASS dimension must be at least 1")
         if self.mode not in (COVER, REACH):
             raise InputError(f"unknown VASS mode {self.mode!r}")
-        n = len(self.states)
-        if len(set(self.states)) != n:
-            raise InputError("duplicate state names")
-        if not 0 <= self.initial < n:
-            raise InputError("initial state index out of range")
-        if any(not 0 <= q < n for q in self.accepting):
-            raise InputError("accepting state index out of range")
-        keys = []
-        for src, label, update, dst in self.transitions:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise InputError("transition state index out of range")
-            if label is not None and not 0 <= label < len(self.alphabet):
-                raise InputError("transition label index out of range")
-            if len(update) != self.dim or not all(isinstance(u, int) for u in update):
-                raise InputError(f"update vector {update} does not have dimension {self.dim}")
-            keys.append((src, label))
-        det = all(label is not None for _, label, _, _ in self.transitions) and len(set(keys)) == len(keys)
-        object.__setattr__(self, "deterministic", det)
+        for _, _, update, _ in self.transitions:
+            if len(update) != self.dim or not all(type(u) is int for u in update):
+                raise InputError(f"update vector {update} must hold {self.dim} integers")
+        object.__setattr__(self, "deterministic", _check_control(self))
 
     @cached_property
     def out_edges(self) -> list[tuple[int, ...]]:

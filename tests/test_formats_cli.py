@@ -16,6 +16,9 @@ from hcs.games import solve_countdown, solve_hcs_game
 from hcs.models import AB, branching_nonempty_hcs
 from hcs.vass import REACH, Vass
 
+from test_automata import random_dfa, random_nfa
+from test_vass import random_cover_vass, random_guarded_hcs
+
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 MODEL_FILES = sorted(f for f in os.listdir(MODELS) if f.endswith(".json"))
 
@@ -35,6 +38,23 @@ class TestDocuments:
     def test_round_trip_identity(self, name):
         model = formats.load_path(model_path(name))
         assert formats.from_document(formats.to_document(model)) == model
+        # Byte for byte: key order and the place of "update" count too.
+        assert formats.dumps(formats.to_document(model)) == Path(model_path(name)).read_text(encoding="utf-8")
+
+    def test_random_models_round_trip(self):
+        rng = random.Random(2101)
+        models = []
+        for _ in range(40):
+            models.append(random_nfa(rng, rng.randint(1, 5), rng.randint(1, 3), eps=rng.random() < 0.5))
+            models.append(random_dfa(rng, rng.randint(1, 5), rng.randint(1, 3)))
+            models.append(random_cover_vass(rng, n_states=rng.randint(1, 4), dim=rng.randint(1, 3)))
+            models.append(random_guarded_hcs(rng))
+        for model in models:
+            doc = formats.to_document(model)
+            assert formats.from_document(doc) == model
+            canonical = formats.canonical_document(doc)
+            assert formats.canonical_document(canonical) == canonical
+            assert formats.dumps(formats.to_document(formats.from_document(canonical))) == formats.dumps(canonical)
 
     @pytest.mark.parametrize("name", MODEL_FILES)
     def test_fmt_idempotent(self, name, tmp_path, capsys):

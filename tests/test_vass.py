@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hcs import formats
+from hcs import cli, formats
 from hcs.automata import Alphabet, FiniteAutomaton
 from hcs.core import Hcs, member
 from hcs.errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
@@ -79,6 +79,43 @@ class TestVassBasics:
             Vass(AB, 1, ("q",), 0, frozenset(), ((0, 0, (1, 1), 0),), COVER)
         with pytest.raises(InputError):
             Vass(AB, 1, ("q",), 0, frozenset(), (), "maybe")
+        with pytest.raises(InputError, match=r"update vector \(True,\) must hold 1 integers"):
+            Vass(AB, 1, ("q",), 0, frozenset(), ((0, 0, (True,), 0),), COVER)
+
+    @pytest.mark.parametrize(
+        "states, initial, accepting, moves, message",
+        [
+            (("p", "p"), 0, {0}, [(0, 0, 1)], "duplicate state names"),
+            (("p", "q"), 2, {0}, [(0, 0, 1)], "initial state index 2 out of range"),
+            (("p", "q"), 0, {5}, [(0, 0, 1)], "accepting state index 5 out of range"),
+            (("p", "q"), 0, {0}, [(0, 0, 3)], "transition (0, 0, 3) has an out-of-range state"),
+            (("p", "q"), 0, {0}, [(0, 2, 1)], "transition label index 2 out of range"),
+            (("p", "q"), 0, {0}, [(0, 0, 1), (1, 1, 0), (0, 0, 1)], "duplicate transition (0, 0, 1)"),
+        ],
+        ids=["state names", "initial", "accepting", "endpoint", "label", "transition twice"],
+    )
+    def test_automaton_and_vass_share_the_control_rule(self, states, initial, accepting, moves, message):
+        with pytest.raises(InputError) as automaton_error:
+            FiniteAutomaton(AB, states, initial, frozenset(accepting), tuple(moves))
+        vass_moves = tuple((src, label, (1,), dst) for src, label, dst in moves)
+        with pytest.raises(InputError) as vass_error:
+            Vass(AB, 1, states, initial, frozenset(accepting), vass_moves, COVER)
+        assert str(automaton_error.value) == str(vass_error.value) == message
+
+    def test_transition_listed_twice_is_refused(self, tmp_path, capsys):
+        moves = ((0, 0, (1,), 0), (0, 0, (1,), 0), (0, 1, (0,), 0))
+        with pytest.raises(InputError, match=r"duplicate transition \(0, 0, 0\)"):
+            Vass(AB, 1, ("g",), 0, frozenset({0}), moves, COVER)
+        guard = Vass(AB, 1, ("g",), 0, frozenset({0}), moves[1:], COVER)
+        assert guard.deterministic
+        hcs = guarded_chain_hcs(guard)
+        assert hcs_cover_empty(hcs, "product", assume_non_dying=True) == hcs_cover_empty(hcs, "onthefly")
+        doc = formats.to_document(guard)
+        doc["transitions"].insert(0, doc["transitions"][0])
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["fmt", "--model", str(path)]) == 2
+        assert "duplicate transition" in capsys.readouterr().err
 
     def test_deterministic_flag(self):
         v = count_balanced_vass()
