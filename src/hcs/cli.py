@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from . import bench, formats
 from .automata import DEFAULT_STATE_CAP, FiniteAutomaton, accepts, determinize, equivalent, minimize
 from .automata import is_empty as automaton_is_empty
-from .core import Hcs, determinize_hcs, guard_kind, member
+from .core import VASS, Hcs, determinize_hcs, guard_kind, member
 from .core import is_empty as hcs_is_empty
 from .errors import HcsError, InputError, ResourceLimitError
 from .games import CountdownGame, HcsGame, countdown_to_hcs_game, normalize_countdown
@@ -65,10 +65,6 @@ def _cmd_member(args) -> int:
     return EXIT_OK
 
 
-def _guard_kinds(hcs: Hcs) -> set[str]:
-    return {guard_kind(g) for g in hcs.guards.values()}
-
-
 def _cmd_empty(args) -> int:
     model = formats.load_path(args.model)
     engine = args.engine
@@ -116,9 +112,9 @@ def _cmd_empty(args) -> int:
         _emit({"empty": not nonempty})
         return EXIT_OK
     if isinstance(model, Hcs):
-        kinds = _guard_kinds(model)
-        if "vass" in kinds:
-            if kinds != {"vass"}:
+        kinds = {guard_kind(g) for g in model.guards.values()}
+        if VASS in kinds:
+            if kinds != {VASS}:
                 raise InputError(
                     "mixed guard kinds: exact emptiness needs all-VASS or all-regular guards; "
                     "use --engine bounded"

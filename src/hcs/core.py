@@ -69,7 +69,7 @@ class Hcs:
             if name not in self.guards:
                 raise InputError(f"guard {name!r} is not in the guard table")
         for name, guard in self.guards.items():
-            kind = guard_kind(guard)
+            guard_kind(guard)  # raises for an object that is no guard
             symbols = guard.alphabet.symbols
             if symbols != self.alphabet.symbols:
                 raise InputError(
@@ -337,13 +337,22 @@ def determinize_hcs(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> FiniteAuto
     The lazy DFA of ``HcsSemantics``, built to completion: each state is a
     maximal subset of underlying states paired with one state per
     (determinized, completed) guard, numbered in breadth-first order. Dead
-    subsets share a single sink. Nested guards are flattened first.
+    subsets share a single sink. A nested guard runs on its own lazy DFA,
+    which is filled only as far as the outer DFA reaches it.
     """
-    hcs = flatten_nested(hcs, max_states)
-    for name, guard in hcs.guards.items():
-        if guard_kind(guard) != REGULAR:
-            raise UnsupportedGuardError(f"determinization requires regular guards, got {name!r}")
+    _require_regular(hcs)
     return HcsSemantics(hcs, max_states).build(max_states, "d{}".format)
+
+
+def _require_regular(hcs: Hcs) -> None:
+    """Refuse a VASS guard at any depth: the guards of nested guards first,
+    in table order, then the system's own."""
+    for guard in hcs.guards.values():
+        if guard_kind(guard) == NESTED:
+            _require_regular(guard)
+    for name, guard in hcs.guards.items():
+        if guard_kind(guard) == VASS:
+            raise UnsupportedGuardError(f"determinization requires regular guards, got {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +457,15 @@ def _guard_with_delimiter_tail(guard: Guard, tail: int, extended: Alphabet) -> G
 # Nested guards
 
 
-def has_nested_guards(hcs: Hcs) -> bool:
-    return any(guard_kind(g) == NESTED for g in hcs.guards.values())
-
-
 def flatten_nested(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> Hcs:
-    """Replace every nested guard by an equivalent DFA, bottom-up.
+    """Replace every nested guard by its DFA from ``determinize_hcs``.
 
     Depth-one inputs are returned structurally unchanged.
     """
-    if not has_nested_guards(hcs):
+    if not any(guard_kind(g) == NESTED for g in hcs.guards.values()):
         return hcs
-    table: dict[str, Guard] = {}
+    table = dict(hcs.guards)
     for name, guard in hcs.guards.items():
         if guard_kind(guard) == NESTED:
             table[name] = determinize_hcs(guard, max_states)
-        else:
-            table[name] = guard
     return Hcs(hcs.alphabet, hcs.underlying, table, dict(hcs.guarded))

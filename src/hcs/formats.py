@@ -13,7 +13,7 @@ byte-identical for structurally equal models.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from .automata import EPS_NAME, Alphabet, FiniteAutomaton
 from .core import Hcs
@@ -70,19 +70,30 @@ def _state_table(doc: dict, context: str) -> tuple[list[str], dict[str, int]]:
     return states, {name: i for i, name in enumerate(states)}
 
 
-def _state_index(index: dict[str, int], name: Any, context: str) -> int:
+#: The 2cm action names, each mapped to itself.
+_ACTIONS = {action: action for action in ACTIONS}
+
+
+def _lookup(table: dict, name: Any, context: str, what: str) -> Any:
+    """What ``name`` stands for in one of a document's name tables: its
+    states, its symbols (with "eps" -> None) or the 2cm actions."""
     try:
-        return index[name]
+        return table[name]
     except (KeyError, TypeError):  # TypeError: an unhashable JSON value
-        raise InputError(f"{context}: unknown state {name!r}") from None
+        raise InputError(f"{context}: unknown {what} {name!r}") from None
 
 
-def _label_index(alpha: Alphabet, label: Any, context: str) -> Optional[int]:
-    if label == EPS_NAME:
-        return None
-    if not isinstance(label, str) or label not in alpha:
-        raise InputError(f"{context}: unknown symbol {label!r}")
-    return alpha.index(label)
+def _shaped(doc: dict, key: str, context: str, where: str, fields: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """Enumerate the list ``doc[key]``, each entry checked to be an object
+    with every one of ``fields`` and no other key outside ``optional``. A
+    right entry costs one key-set comparison; ``where.format(i)`` and the
+    field lists of ``_expect_keys`` are built only for a wrong one."""
+    required = frozenset(fields)
+    allowed = required.union(optional)
+    for i, entry in enumerate(_entries(doc, key, context)):
+        if not isinstance(entry, dict) or (entry.keys() != required and entry.keys() != allowed):
+            _expect_keys(entry, where.format(i), fields, optional)
+        yield i, entry
 
 
 # ---------------------------------------------------------------------------
@@ -171,53 +182,49 @@ def to_document(model: Model) -> dict:
 # Parsing
 
 
-def _parse_alphabet(doc: dict, context: str) -> Alphabet:
-    return Alphabet(tuple(_strings(doc, "alphabet", context)))
-
-
 def _parse_control(doc: dict, kind: str, guards: bool = False):
-    """The automaton or VASS of a document of type ``kind``, and the guard
-    name of each transition that has one (only if ``guards`` allows it)."""
-    alpha = _parse_alphabet(doc, kind)
+    """The automaton or VASS of a document of type ``kind``, the guard name
+    of each transition that has one (only if ``guards`` allows it), and the
+    document's state table."""
+    alpha = Alphabet(tuple(_strings(doc, "alphabet", kind)))
+    labels = {symbol: i for i, symbol in enumerate(alpha.symbols)} | {EPS_NAME: None}
     states, index = _state_table(doc, kind)
-    initial = _state_index(index, doc["initial"], kind)
-    accepting = frozenset(_state_index(index, q, kind) for q in _entries(doc, "accepting", kind))
+    initial = _lookup(index, doc["initial"], kind, "state")
+    accepting = frozenset(_lookup(index, q, kind, "state") for q in _entries(doc, "accepting", kind))
     vass = kind == "vass"
     fields = ("from", "label", "update", "to") if vass else ("from", "label", "to")
-    optional = ("guard",) if guards else ()
     transitions = []
     guarded: dict[int, str] = {}
-    for i, entry in enumerate(_entries(doc, "transitions", kind)):
-        context = f"{kind}: transition {i}"
-        _expect_keys(entry, context, fields, optional)
-        src = _state_index(index, entry["from"], kind)
-        label = _label_index(alpha, entry["label"], kind)
-        dst = _state_index(index, entry["to"], kind)
+    for i, entry in _shaped(doc, "transitions", kind, kind + ": transition {}", fields, ("guard",) if guards else ()):
+        src = _lookup(index, entry["from"], kind, "state")
+        label = _lookup(labels, entry["label"], kind, "symbol")
+        dst = _lookup(index, entry["to"], kind, "state")
         if vass:
             update = entry["update"]
             if not isinstance(update, list) or not all(type(u) is int for u in update):
-                raise InputError(f"{context}: update must be a list of integers")
+                raise InputError(f"{kind}: transition {i}: update must be a list of integers")
             transitions.append((src, label, tuple(update), dst))
         else:
             transitions.append((src, label, dst))
         if "guard" in entry:
             if not isinstance(entry["guard"], str):
-                raise InputError(f"{context}: guard must be a string")
+                raise InputError(f"{kind}: transition {i}: guard must be a string")
             guarded[i] = entry["guard"]
     if vass:
         dim = _int(doc, "dim", kind)
-        return Vass(alpha, dim, tuple(states), initial, accepting, tuple(transitions), doc["mode"]), guarded
-    return FiniteAutomaton(alpha, tuple(states), initial, accepting, tuple(transitions)), guarded
+        return Vass(alpha, dim, tuple(states), initial, accepting, tuple(transitions), doc["mode"]), guarded, index
+    return FiniteAutomaton(alpha, tuple(states), initial, accepting, tuple(transitions)), guarded, index
 
 
-def _parse_hcs(doc: dict, context: str) -> Hcs:
-    underlying, guarded = _parse_control(doc, context, guards=True)
+def _parse_hcs(doc: dict, context: str) -> tuple[Hcs, dict[str, int]]:
+    """The system of an ``hcs`` or ``game`` document and its state table."""
+    underlying, guarded, index = _parse_control(doc, context, guards=True)
     guards = {}
     for name, guard_doc in _object(doc, "guards", context).items():
         guards[name] = from_document(guard_doc)
         if isinstance(guards[name], (HcsGame, CountdownGame, TwoCounterMachine)):
             raise InputError(f"{context}: guard {name!r} must be an automaton, VASS, or HCS")
-    return Hcs(underlying.alphabet, underlying, guards, guarded)
+    return Hcs(underlying.alphabet, underlying, guards, guarded), index
 
 
 def from_document(doc: dict) -> Model:
@@ -228,37 +235,35 @@ def from_document(doc: dict) -> Model:
     base = ("type", "alphabet", "states", "initial", "accepting", "transitions")
     if kind in ("nfa", "dfa"):
         _expect_keys(doc, kind, base)
-        automaton, _ = _parse_control(doc, kind)
+        automaton = _parse_control(doc, kind)[0]
         if kind == "dfa" and not automaton.deterministic:
             raise InputError('document of type "dfa" is not deterministic')
         return automaton
     if kind == "hcs":
         _expect_keys(doc, kind, base, ("guards",))
-        return _parse_hcs(doc, kind)
+        return _parse_hcs(doc, kind)[0]
     if kind == "game":
         _expect_keys(doc, kind, base, ("guards", "owner", "objective"))
-        hcs = _parse_hcs({k: v for k, v in doc.items() if k not in ("owner", "objective")}, kind)
-        states = hcs.underlying.states
+        hcs, index = _parse_hcs(doc, kind)
         owner_doc = _object(doc, "owner", kind)
         owner = []
-        for name in states:
+        for name in hcs.underlying.states:
             if name not in owner_doc:
                 raise InputError(f"game: state {name!r} has no owner")
             if type(owner_doc[name]) is not int or owner_doc[name] not in (0, 1):
                 raise InputError(f"game: owner of {name!r} must be 0 or 1")
             owner.append(owner_doc[name])
-        unknown_owners = [n for n in owner_doc if n not in states]
+        unknown_owners = [n for n in owner_doc if n not in index]
         if unknown_owners:
             raise InputError(f"game: owner map names unknown states {unknown_owners}")
         objective_doc = doc.get("objective")
         if objective_doc is None:
             raise InputError("game: missing objective")
         _expect_keys(objective_doc, "game objective", ("kind", "states"))
-        _, index = _state_table(doc, kind)
         objective = Objective(
             objective_doc["kind"],
             frozenset(
-                _state_index(index, q, "game objective") for q in _entries(objective_doc, "states", "game objective")
+                _lookup(index, q, "game objective", "state") for q in _entries(objective_doc, "states", "game objective")
             ),
         )
         return HcsGame(hcs, tuple(owner), objective)
@@ -269,18 +274,14 @@ def from_document(doc: dict) -> Model:
         _expect_keys(doc, kind, ("type", "states", "initial", "target", "edges"))
         states, index = _state_table(doc, kind)
         edges = []
-        for i, entry in enumerate(_entries(doc, "edges", kind)):
-            _expect_keys(entry, f"countdown edge {i}", ("from", "weight", "to"))
-            edges.append(
-                (
-                    _state_index(index, entry["from"], kind),
-                    _int(entry, "weight", f"countdown edge {i}"),
-                    _state_index(index, entry["to"], kind),
-                )
-            )
+        for i, entry in _shaped(doc, "edges", kind, "countdown edge {}", ("from", "weight", "to")):
+            src = _lookup(index, entry["from"], kind, "state")
+            if type(entry["weight"]) is not int:
+                raise InputError(f"countdown edge {i}: weight must be an integer")
+            edges.append((src, entry["weight"], _lookup(index, entry["to"], kind, "state")))
         return CountdownGame(
             states=tuple(states),
-            initial=_state_index(index, doc["initial"], kind),
+            initial=_lookup(index, doc["initial"], kind, "state"),
             target=_int(doc, "target", kind),
             edges=tuple(edges),
         )
@@ -288,22 +289,16 @@ def from_document(doc: dict) -> Model:
         _expect_keys(doc, kind, ("type", "states", "transitions", "source", "target"))
         states, index = _state_table(doc, kind)
         transitions = []
-        for i, entry in enumerate(_entries(doc, "transitions", kind)):
-            _expect_keys(entry, f"2cm transition {i}", ("from", "action", "to"))
-            if entry["action"] not in ACTIONS:
-                raise InputError(f"2cm transition {i}: unknown action {entry['action']!r}")
+        for i, entry in _shaped(doc, "transitions", kind, "2cm transition {}", ("from", "action", "to")):
+            action = _lookup(_ACTIONS, entry["action"], f"2cm transition {i}", "action")
             transitions.append(
-                (
-                    _state_index(index, entry["from"], kind),
-                    entry["action"],
-                    _state_index(index, entry["to"], kind),
-                )
+                (_lookup(index, entry["from"], kind, "state"), action, _lookup(index, entry["to"], kind, "state"))
             )
         return TwoCounterMachine(
             states=tuple(states),
             transitions=tuple(transitions),
-            source=_state_index(index, doc["source"], kind),
-            target=_state_index(index, doc["target"], kind),
+            source=_lookup(index, doc["source"], kind, "state"),
+            target=_lookup(index, doc["target"], kind, "state"),
         )
     raise InputError(f"unknown document type {kind!r}")
 

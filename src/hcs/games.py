@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name
-from .core import Hcs, HcsSemantics, guard_kind, guard_product
+from .core import REGULAR, Hcs, HcsSemantics, guard_kind, guard_product
 from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 
 REACH = "reach"
@@ -59,7 +59,7 @@ class HcsGame:
         if any(not 0 <= q < n for q in self.objective.states):
             raise InputError("objective state index out of range")
         for name, guard in self.hcs.guards.items():
-            if guard_kind(guard) != "regular":
+            if guard_kind(guard) != REGULAR:
                 raise UnsupportedGuardError(
                     f"games require regular guards; {name!r} is {guard_kind(guard)}"
                 )

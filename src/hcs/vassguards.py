@@ -24,7 +24,7 @@ from typing import Optional
 
 from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name, _missing_moves, _trusted
 from .automata import explore, layered_search
-from .core import Hcs, HcsSemantics, guard_kind
+from .core import VASS, Hcs, HcsSemantics, guard_kind
 from .errors import ContractError, InputError, UnsupportedGuardError
 from .vass import (
     COVER,
@@ -65,7 +65,7 @@ def complete_vass(vass: Vass) -> Vass:
 def _cover_dvass_guards(hcs: Hcs, operation: str) -> dict[str, Vass]:
     guards: dict[str, Vass] = {}
     for name, guard in hcs.guards.items():
-        if guard_kind(guard) != "vass":
+        if guard_kind(guard) != VASS:
             raise UnsupportedGuardError(f"{operation} requires VASS guards; {name!r} is not one")
         if guard.mode != COVER:
             raise UnsupportedGuardError(f"{operation} requires cover-mode guards; {name!r} is reach")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import replace
 
 
 def all_words(symbols, max_len):
@@ -277,17 +278,15 @@ def solve_countdown_countup(game):
 def reference_product(hcs):
     """Reachable (state, guard runtimes) pairs and moves, found the plain way:
     at every pair, try every alphabet symbol, filter the underlying edges by
-    raw guard acceptance and step each guard tracker, numbering pairs in
-    breadth-first order. Returns (guard names, vertices, edges)."""
-    from hcs.core import HcsSemantics
+    raw guard acceptance and step each guard's own stepper, numbering pairs
+    in breadth-first order. Returns (guard names, vertices, edges)."""
+    raw = HcsStepper(hcs)
+    guards, delta = raw.guards, raw.delta
 
-    semantics = HcsSemantics(hcs)
-    trackers = semantics.trackers
+    def ok(runtimes, g):
+        return g is None or guards[g].accepting(runtimes[g])
 
-    def ok(guard_states, g):
-        return g is None or trackers[g].accepting(guard_states[g])
-
-    start = (hcs.underlying.initial, tuple(tr.initial() for tr in trackers))
+    start = (hcs.underlying.initial, tuple(guard.initial() for guard in guards))
     order = {start: 0}
     vertices = [start]
     edges = []
@@ -302,18 +301,18 @@ def reference_product(hcs):
 
     while queue:
         v = queue.popleft()
-        q, guard_states = vertices[v]
-        for dst, g in semantics.eps_edges.get(q, ()):
-            if ok(guard_states, g):
-                edges.append((v, None, vertex_id((dst, guard_states))))
+        q, runtimes = vertices[v]
+        for dst, g in delta.get((q, None), ()):
+            if ok(runtimes, g):
+                edges.append((v, None, vertex_id((dst, runtimes))))
         for a in range(len(hcs.alphabet)):
-            targets = [dst for dst, g in semantics.sigma_edges.get((q, a), ()) if ok(guard_states, g)]
+            targets = [dst for dst, g in delta.get((q, a), ()) if ok(runtimes, g)]
             if not targets:
                 continue
-            advanced = tuple(tr.step(s, a) for tr, s in zip(trackers, guard_states))
+            advanced = tuple(guard.step(r, a) for guard, r in zip(guards, runtimes))
             for dst in targets:
                 edges.append((v, a, vertex_id((dst, advanced))))
-    return semantics.names, vertices, edges
+    return tuple(sorted(hcs.guards)), vertices, edges
 
 
 def reference_product_vass(hcs):
@@ -386,12 +385,27 @@ def out_edges(arena):
     return out
 
 
+def renumber_runtimes(arena):
+    """``arena`` with each guard's runtimes numbered in order of first
+    appearance, so that library runtimes and raw stepper runtimes compare."""
+    tables = {}
+    vertices = []
+    for q, runtimes in arena.vertices:
+        ids = []
+        for g, runtime in enumerate(runtimes):
+            table = tables.setdefault(g, {})
+            ids.append(table.setdefault(runtime, len(table)))
+        vertices.append((q, tuple(ids)))
+    return replace(arena, vertices=tuple(vertices))
+
+
 def reference_arena(game):
-    """The arena of ``game`` over ``reference_product``."""
+    """The arena of ``game`` over ``reference_product``, its runtimes
+    renumbered by ``renumber_runtimes``."""
     from hcs.games import Arena
 
     names, vertices, edges = reference_product(game.hcs)
-    return Arena(
+    arena = Arena(
         guard_names=names,
         vertices=tuple(vertices),
         edges=tuple(edges),
@@ -400,6 +414,7 @@ def reference_arena(game):
         marked=frozenset(i for i, (q, _) in enumerate(vertices) if q in game.objective.states),
         objective_kind=game.objective.kind,
     )
+    return renumber_runtimes(arena)
 
 
 def _reference_attractor(arena, player, targets):
@@ -471,106 +486,53 @@ def reference_solution(arena):
     )
 
 
-def _raw_closure(eps_edges, trackers, states, guard_states):
-    """Epsilon closure of ``states`` with raw guard acceptance checks."""
-    seen = set(states)
-    todo = list(states)
-    while todo:
-        q = todo.pop()
-        for dst, g in eps_edges.get(q, ()):
-            if dst not in seen and (g is None or trackers[g].accepting(guard_states[g])):
-                seen.add(dst)
-                todo.append(dst)
-    return frozenset(seen)
-
-
 def reference_determinize(hcs, max_states=1_000_000):
-    """Subset construction on the underlying automaton times the tuple of
-    guard runtimes, stepping every guard tracker on every symbol and keying
-    states by (subset, runtimes), as ``determinize_hcs`` did before the lazy
-    DFA. Nested guards are flattened with this same construction. Returns
-    (states, accepting, transitions) with transitions as a list."""
-    from hcs.automata import FiniteAutomaton
-    from hcs.core import Hcs, HcsSemantics, guard_kind
+    """Breadth-first subset construction over ``HcsStepper``
+    configurations (an epsilon-closed subset and every guard's raw
+    runtime), keyed and numbered in discovery order; the dead configuration
+    is the one sink. Returns (states, accepting, transitions) with
+    transitions as a list."""
     from hcs.errors import ResourceLimitError
 
-    if any(guard_kind(g) == "nested" for g in hcs.guards.values()):
-        table = {}
-        for name, guard in hcs.guards.items():
-            if guard_kind(guard) == "nested":
-                states, accepting, transitions = reference_determinize(guard, max_states)
-                guard = FiniteAutomaton(guard.alphabet, states, 0, accepting, tuple(transitions))
-            table[name] = guard
-        hcs = Hcs(hcs.alphabet, hcs.underlying, table, dict(hcs.guarded))
-    semantics = HcsSemantics(hcs, max_states)
-    trackers = semantics.trackers
-    n_sym = len(hcs.alphabet)
-    start_guards = tuple(tr.initial() for tr in trackers)
-    start = (_raw_closure(semantics.eps_edges, trackers, {hcs.underlying.initial}, start_guards), start_guards)
+    raw = HcsStepper(hcs)
+    start = raw.initial()
     order = {start: 0}
     queue = deque([start])
     transitions = []
-    accepting = set()
-    sink = None
-    if start[0] & hcs.underlying.accepting:
-        accepting.add(0)
-
-    def new_state(key):
-        if len(order) + 1 > max_states:
-            raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
-        order[key] = len(order)
-        return order[key]
-
     while queue:
-        key = queue.popleft()
-        subset, guard_states = key
-        src = order[key]
-        for a in range(n_sym):
-            nxt = set()
-            for q in subset:
-                for dst, g in semantics.sigma_edges.get((q, a), ()):
-                    if g is None or trackers[g].accepting(guard_states[g]):
-                        nxt.add(dst)
-            advanced = tuple(tr.step(s, a) for tr, s in zip(trackers, guard_states))
-            closed = _raw_closure(semantics.eps_edges, trackers, nxt, advanced)
-            if not closed:
-                if sink is None:
-                    sink = new_state(("sink",))
-                    transitions += [(sink, b, sink) for b in range(n_sym)]
-                transitions.append((src, a, sink))
-                continue
-            nkey = (closed, advanced)
-            if nkey not in order:
-                if closed & hcs.underlying.accepting:
-                    accepting.add(new_state(nkey))
-                else:
-                    new_state(nkey)
-                queue.append(nkey)
-            transitions.append((src, a, order[nkey]))
-    return tuple(f"d{i}" for i in range(len(order))), frozenset(accepting), transitions
+        config = queue.popleft()
+        for a in range(len(hcs.alphabet)):
+            nxt = raw.step(config, a)
+            if nxt not in order:
+                if len(order) + 1 > max_states:
+                    raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
+                order[nxt] = len(order)
+                queue.append(nxt)
+            transitions.append((order[config], a, order[nxt]))
+    accepting = frozenset(i for config, i in order.items() if raw.accepting(config))
+    return tuple(f"d{i}" for i in range(len(order))), accepting, transitions
 
 
 def reference_bounded_reach(hcs, max_len, node_cap=1_000_000):
     """Layered search over (state, guard runtimes) pairs, one layer per
     sigma symbol, as ``bounded_reach_empty`` did before it walked the
     explorer's successors. Returns (status, witness)."""
-    from hcs.core import HcsSemantics
     from hcs.errors import ResourceLimitError
 
-    semantics = HcsSemantics(hcs, node_cap)
-    trackers = semantics.trackers
+    raw = HcsStepper(hcs)
+    guards, delta = raw.guards, raw.delta
 
     def closure(layer):
         stack = list(layer)
         while stack:
-            q, guard_states = stack.pop()
-            for dst, g in semantics.eps_edges.get(q, ()):
-                node = (dst, guard_states)
-                if node not in layer and (g is None or trackers[g].accepting(guard_states[g])):
-                    layer[node] = layer[(q, guard_states)]
+            q, runtimes = stack.pop()
+            for dst, g in delta.get((q, None), ()):
+                node = (dst, runtimes)
+                if node not in layer and (g is None or guards[g].accepting(runtimes[g])):
+                    layer[node] = layer[(q, runtimes)]
                     stack.append(node)
 
-    layer = {(hcs.underlying.initial, tuple(tr.initial() for tr in trackers)): ()}
+    layer = {(hcs.underlying.initial, tuple(guard.initial() for guard in guards)): ()}
     closure(layer)
     seen_words = 0
     for depth in range(max_len + 1):
@@ -580,11 +542,11 @@ def reference_bounded_reach(hcs, max_len, node_cap=1_000_000):
         if depth == max_len:
             break
         nxt = {}
-        for (q, guard_states), word in layer.items():
+        for (q, runtimes), word in layer.items():
             for a in range(len(hcs.alphabet)):
-                for dst, g in semantics.sigma_edges.get((q, a), ()):
-                    if g is None or trackers[g].accepting(guard_states[g]):
-                        advanced = tuple(tr.step(s, a) for tr, s in zip(trackers, guard_states))
+                for dst, g in delta.get((q, a), ()):
+                    if g is None or guards[g].accepting(runtimes[g]):
+                        advanced = tuple(guard.step(r, a) for guard, r in zip(guards, runtimes))
                         nxt.setdefault((dst, advanced), word + (hcs.alphabet.symbols[a],))
         closure(nxt)
         seen_words += len(nxt)

@@ -128,6 +128,21 @@ class TestDeterminizeHcs:
         with pytest.raises(ResourceLimitError):
             determinize_hcs(four_eyes_hcs(), max_states=3)
 
+    def test_nested_guard_is_built_only_as_far_as_reached(self):
+        # The inner system's whole DFA has 6 states, more than the cap, but
+        # the outer DFA steps it only twice before its one move is spent.
+        inner = build_intersection_nfa([cycle_dfa(2), cycle_dfa(3)])
+        underlying = FiniteAutomaton(inner.alphabet, ("s", "t"), 0, frozenset({1}), ((0, 0, 1),))
+        dfa = determinize_hcs(Hcs(inner.alphabet, underlying, {"six": inner}, {0: "six"}), max_states=3)
+        assert dfa.transitions == ((0, 0, 1), (1, 0, 2), (2, 0, 2))
+
+    def test_vass_guard_at_any_depth_rejected(self):
+        underlying = FiniteAutomaton(AB, ("q",), 0, frozenset({0}), ((0, 0, 0),))
+        inner = Hcs(AB, underlying, {"counter": count_balanced_vass()}, {0: "counter"})
+        for hcs in (inner, Hcs(AB, underlying, {"nested": inner}, {0: "nested"})):
+            with pytest.raises(UnsupportedGuardError, match="^determinization requires regular guards, got 'counter'$"):
+                determinize_hcs(hcs)
+
 
 class TestIntersectionGadgets:
     def test_nfa_gadget_language(self):

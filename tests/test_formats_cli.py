@@ -356,6 +356,98 @@ class TestCliVerdictsMatchLibrary:
         assert code2 == 0 and "min_dfa_states" in table
 
 
+#: A valid document of every type; each ``READER_ERRORS`` case breaks one
+#: field of one of them.
+_CONTROL = {"alphabet": ["a", "b"], "states": ["p", "q"], "initial": "p", "accepting": ["q"]}
+_DFA = {"type": "dfa", **_CONTROL, "transitions": [{"from": "p", "label": "a", "to": "q"}]}
+_GUARDED = {
+    **_CONTROL,
+    "transitions": [{"from": "p", "label": "a", "to": "q", "guard": "g"}, {"from": "q", "label": "eps", "to": "p"}],
+    "guards": {"g": _DFA},
+}
+READER_BASES = {
+    "nfa": {"type": "nfa", **_CONTROL,
+            "transitions": [{"from": "q", "label": "eps", "to": "p"}, {"from": "p", "label": "a", "to": "q"}]},
+    "dfa": _DFA,
+    "hcs": {"type": "hcs", **_GUARDED},
+    "game": {"type": "game", **_GUARDED, "owner": {"p": 0, "q": 1}, "objective": {"kind": "reach", "states": ["q"]}},
+    "vass": {"type": "vass", "alphabet": ["a"], "dim": 1, "mode": "cover", "states": ["p"], "initial": "p",
+             "accepting": ["p"], "transitions": [{"from": "p", "label": "a", "update": [1], "to": "p"}]},
+    "countdown": {"type": "countdown", "states": ["A", "B"], "initial": "A", "target": 3,
+                  "edges": [{"from": "A", "weight": 1, "to": "B"}]},
+    "2cm": {"type": "2cm", "states": ["p", "q"], "transitions": [{"from": "p", "action": "inc1", "to": "q"}],
+            "source": "p", "target": "q"},
+}
+DELETE = "<delete>"
+
+#: (document type, path to the field, its new value or DELETE, the message).
+READER_ERRORS = [
+    ("nfa", (), [], 'a model document must be an object with a "type" field'),
+    ("nfa", ("type",), DELETE, 'a model document must be an object with a "type" field'),
+    ("nfa", ("type",), "pda", "unknown document type 'pda'"),
+    ("nfa", ("oops",), 1, "nfa: unknown fields ['oops']"),
+    ("nfa", ("initial",), DELETE, "nfa: missing fields ['initial']"),
+    ("nfa", ("alphabet",), ["a", 1], "nfa: alphabet must be a list of strings"),
+    ("nfa", ("states",), "p", "nfa: states must be a list of strings"),
+    ("nfa", ("accepting",), 5, "nfa: accepting must be a list"),
+    ("nfa", ("transitions",), {}, "nfa: transitions must be a list"),
+    ("nfa", ("transitions", 1), 5, "nfa: transition 1: expected a JSON object, got int"),
+    ("nfa", ("transitions", 0), ["q", "eps", "p"], "nfa: transition 0: expected a JSON object, got list"),
+    ("nfa", ("transitions", 1, "to"), DELETE, "nfa: transition 1: missing fields ['to']"),
+    ("nfa", ("transitions", 1, "weight"), 1, "nfa: transition 1: unknown fields ['weight']"),
+    ("nfa", ("transitions", 1, "guard"), "g", "nfa: transition 1: unknown fields ['guard']"),
+    ("nfa", ("transitions", 1, "from"), "r", "nfa: unknown state 'r'"),
+    ("nfa", ("transitions", 0, "to"), None, "nfa: unknown state None"),
+    ("nfa", ("initial",), {"x": 1}, "nfa: unknown state {'x': 1}"),
+    ("nfa", ("accepting",), [["q"]], "nfa: unknown state ['q']"),
+    ("nfa", ("transitions", 1, "label"), "c", "nfa: unknown symbol 'c'"),
+    ("nfa", ("transitions", 1, "label"), 1, "nfa: unknown symbol 1"),
+    ("nfa", ("transitions", 1, "label"), ["a"], "nfa: unknown symbol ['a']"),
+    ("dfa", ("transitions", 0, "label"), "eps", 'document of type "dfa" is not deterministic'),
+    ("hcs", ("transitions", 0, "guard"), 5, "hcs: transition 0: guard must be a string"),
+    ("hcs", ("transitions", 0, "guard"), "h", "guard 'h' is not in the guard table"),
+    ("hcs", ("transitions", 1, "label"), DELETE, "hcs: transition 1: missing fields ['label']"),
+    ("hcs", ("guards",), [], "hcs: guards must be an object"),
+    ("hcs", ("guards", "g"), READER_BASES["countdown"], "hcs: guard 'g' must be an automaton, VASS, or HCS"),
+    ("hcs", ("guards", "g", "transitions", 0, "to"), "z", "dfa: unknown state 'z'"),
+    ("game", ("owner",), [], "game: owner must be an object"),
+    ("game", ("owner", "p"), True, "game: owner of 'p' must be 0 or 1"),
+    ("game", ("owner", "q"), 2, "game: owner of 'q' must be 0 or 1"),
+    ("game", ("owner", "q"), DELETE, "game: state 'q' has no owner"),
+    ("game", ("owner", "zz"), 0, "game: owner map names unknown states ['zz']"),
+    ("game", ("objective",), DELETE, "game: missing objective"),
+    ("game", ("objective",), 5, "game objective: expected a JSON object, got int"),
+    ("game", ("objective", "states"), DELETE, "game objective: missing fields ['states']"),
+    ("game", ("objective", "x"), 1, "game objective: unknown fields ['x']"),
+    ("game", ("objective", "kind"), "win", "unknown objective kind 'win'"),
+    ("game", ("objective", "states"), 5, "game objective: states must be a list"),
+    ("game", ("objective", "states"), ["zz"], "game objective: unknown state 'zz'"),
+    ("game", ("objective", "states"), [[]], "game objective: unknown state []"),
+    ("vass", ("dim",), True, "vass: dim must be an integer"),
+    ("vass", ("transitions", 0, "update"), DELETE, "vass: transition 0: missing fields ['update']"),
+    ("vass", ("transitions", 0, "update"), 5, "vass: transition 0: update must be a list of integers"),
+    ("vass", ("transitions", 0, "update"), [True], "vass: transition 0: update must be a list of integers"),
+    ("vass", ("transitions", 0, "label"), "c", "vass: unknown symbol 'c'"),
+    ("vass", ("transitions", 0, "guard"), "g", "vass: transition 0: unknown fields ['guard']"),
+    ("vass", ("transitions", 0, "from"), ["p"], "vass: unknown state ['p']"),
+    ("countdown", ("edges",), 7, "countdown: edges must be a list"),
+    ("countdown", ("edges", 0), "e", "countdown edge 0: expected a JSON object, got str"),
+    ("countdown", ("edges", 0, "weight"), DELETE, "countdown edge 0: missing fields ['weight']"),
+    ("countdown", ("edges", 0, "label"), "a", "countdown edge 0: unknown fields ['label']"),
+    ("countdown", ("edges", 0, "weight"), True, "countdown edge 0: weight must be an integer"),
+    ("countdown", ("edges", 0, "to"), "Z", "countdown: unknown state 'Z'"),
+    ("countdown", ("initial",), ["A"], "countdown: unknown state ['A']"),
+    ("countdown", ("target",), True, "countdown: target must be an integer"),
+    ("2cm", ("transitions", 0), None, "2cm transition 0: expected a JSON object, got NoneType"),
+    ("2cm", ("transitions", 0, "action"), DELETE, "2cm transition 0: missing fields ['action']"),
+    ("2cm", ("transitions", 0, "label"), "a", "2cm transition 0: unknown fields ['label']"),
+    ("2cm", ("transitions", 0, "action"), "jump", "2cm transition 0: unknown action 'jump'"),
+    ("2cm", ("transitions", 0, "action"), ["inc1"], "2cm transition 0: unknown action ['inc1']"),
+    ("2cm", ("transitions", 0, "to"), "zz", "2cm: unknown state 'zz'"),
+    ("2cm", ("source",), {}, "2cm: unknown state {}"),
+]
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         assert cli.main(["member", "--model", "nope.json", "--word", "a"]) == 2
@@ -391,6 +483,24 @@ class TestExitCodes:
                "initial": "p", "accepting": [["p"]], "transitions": []}
         with pytest.raises(InputError, match=r"vass: unknown state \['p'\]"):
             formats.from_document(doc)
+
+    @pytest.mark.parametrize("kind, path, value, message", READER_ERRORS, ids=[case[3] for case in READER_ERRORS])
+    def test_every_reader_error_keeps_its_message(self, kind, path, value, message, tmp_path, capsys):
+        doc = json.loads(json.dumps(READER_BASES[kind]))
+        if path:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            if value == DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        else:
+            doc = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["fmt", "--model", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_resource_cap_is_exit_three(self, capsys):
         assert (
