@@ -197,6 +197,11 @@ def _bfs_table(dfa: FiniteAutomaton, max_states: int) -> tuple[list[list[int]], 
     return table, [q in accepting for q in order]
 
 
+def _label_order(item: tuple) -> int:
+    """Sort key of an edge-table entry: epsilon first, then by symbol."""
+    return -1 if item[0] is None else item[0]
+
+
 def _no_guard_product() -> int:
     return 0
 
@@ -230,18 +235,16 @@ class SubsetDfa:
     def __init__(self, automaton: FiniteAutomaton, guard_at: Optional[dict[int, int]] = None):
         self.automaton = automaton
         guard_at = guard_at or {}
-        # (state, symbol) -> [(destination, guard position or None)]
-        self.sigma_edges: dict[tuple[int, int], list[tuple[int, Optional[int]]]] = {}
-        self.eps_edges: dict[int, list[tuple[int, Optional[int]]]] = {}
+        # The one edge table: per state, label -> [(destination, guard
+        # position or None)] in transition order, epsilon (None) first and
+        # then the symbols in order.
+        edges: list[dict[Optional[int], list[tuple[int, Optional[int]]]]] = [{} for _ in automaton.states]
         for t, (src, label, dst) in enumerate(automaton.transitions):
-            if label is None:
-                self.eps_edges.setdefault(src, []).append((dst, guard_at.get(t)))
-            else:
-                self.sigma_edges.setdefault((src, label), []).append((dst, guard_at.get(t)))
+            edges[src].setdefault(label, []).append((dst, guard_at.get(t)))
+        self.edges = [dict(sorted(out.items(), key=_label_order)) for out in edges]
+        self._has_eps = any(None in out for out in edges)
         self._width = len(automaton.alphabet)
         self._n = len(automaton.states)
-        # Per-state sigma edges sorted by symbol, filled on first use.
-        self._moves: Optional[list[list[tuple[int, int, Optional[int]]]]] = None
         # The lazy DFA: (subset, product id) by state id, and its step table
         # (d * |alphabet| + a -> state id, None until asked for).
         self.configs: list[tuple[frozenset[int], Optional[int]]] = []
@@ -266,12 +269,12 @@ class SubsetDfa:
             subset, p = self.configs[d]
             targets = set()
             for q in subset:
-                for dst, g in self.sigma_edges.get((q, a), ()):
+                for dst, g in self.edges[q].get(a, ()):
                     if g is None or self.admits(p, g):
                         targets.add(dst)
             if targets:
                 p = self.advance(p, a)
-                closed = self.closure(targets, p) if self.eps_edges else frozenset(targets)
+                closed = self.closure(targets, p) if self._has_eps else frozenset(targets)
                 nxt = self._state(closed, p)
             else:
                 nxt = self._state(frozenset(), None)
@@ -303,7 +306,7 @@ class SubsetDfa:
         todo = list(seen)
         while todo:
             q = todo.pop()
-            for dst, g in self.eps_edges.get(q, ()):
+            for dst, g in self.edges[q].get(None, ()):
                 if dst not in seen and (g is None or self.admits(p, g)):
                     seen.add(dst)
                     todo.append(dst)
@@ -349,17 +352,14 @@ class SubsetDfa:
         """
         n = self._n
         p, q = v // n, v % n
-        if self._moves is None:
-            self._moves = [[] for _ in self.automaton.states]
-            for (src, a), targets in sorted(self.sigma_edges.items()):
-                self._moves[src] += [(a, dst, g) for dst, g in targets]
-        moves = [(None, v - q + dst) for dst, g in self.eps_edges.get(q, ()) if g is None or self.admits(p, g)]
-        last = nxt = None
-        for a, dst, g in self._moves[q]:
-            if g is None or self.admits(p, g):
-                if a != last:
-                    last, nxt = a, self.advance(p, a) * n
-                moves.append((a, nxt + dst))
+        moves = []
+        for a, targets in self.edges[q].items():
+            nxt = None if a is not None else v - q
+            for dst, g in targets:
+                if g is None or self.admits(p, g):
+                    if nxt is None:
+                        nxt = self.advance(p, a) * n
+                    moves.append((a, nxt + dst))
         return moves
 
     def explore(self, max_states: int, limit: str, stop: frozenset[int] = frozenset()):

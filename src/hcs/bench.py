@@ -84,14 +84,13 @@ class SuccinctnessReport:
         }
 
 
-def verify_succinctness(
-    k: int, cap: int = DEFAULT_K_CAP, max_states: int = DEFAULT_STATE_CAP
-) -> SuccinctnessReport:
-    """Build A_k, determinize, minimize, and validate the size chain."""
+def verify_succinctness(k: int, max_states: int = DEFAULT_STATE_CAP) -> SuccinctnessReport:
+    """Build A_k, determinize, minimize, and validate the size chain; k is
+    at most ``DEFAULT_K_CAP``, since the oracle is exponential in k."""
     if k < 1:
         raise InputError("k must be at least 1")
-    if k > cap:
-        raise ContractError(f"k = {k} exceeds the cap {cap}; the oracle is exponential in k")
+    if k > DEFAULT_K_CAP:
+        raise ContractError(f"k = {k} exceeds the cap {DEFAULT_K_CAP}; the oracle is exponential in k")
     family = prime_family(k)
     primes = first_primes(k)
     minimal = minimize(determinize_hcs(family, max_states), max_states)

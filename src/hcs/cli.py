@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bench, formats
-from .automata import DEFAULT_STATE_CAP, FiniteAutomaton, accepts, determinize, equivalent, minimize
+from .automata import DEFAULT_STATE_CAP, EPS_NAME, FiniteAutomaton, accepts, determinize, equivalent, minimize
 from .automata import is_empty as automaton_is_empty
 from .core import VASS, Hcs, determinize_hcs, guard_kind, member
 from .core import is_empty as hcs_is_empty
@@ -183,7 +183,7 @@ def _cmd_game_solve(args) -> int:
 
     def edge_doc(edge_index: int) -> list:
         src, label, dst = arena.edges[edge_index]
-        return [src, "eps" if label is None else symbols[label], dst]
+        return [src, EPS_NAME if label is None else symbols[label], dst]
 
     _emit(
         {
@@ -257,7 +257,7 @@ def _cmd_vass_cover(args) -> int:
 
 
 def _cmd_bench_primes(args) -> int:
-    report = bench.verify_succinctness(args.k, cap=args.cap, max_states=args.max_states)
+    report = bench.verify_succinctness(args.k, max_states=args.max_states)
     if args.table:
         sys.stdout.write(bench.report_table([report]) + "\n")
     else:
@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = bench_parser.add_parser("primes", parents=[common], help="succinctness report for A_k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=bench.DEFAULT_K_CAP)
     p.add_argument("--table", action="store_true", help="aligned text table instead of JSON")
     p.set_defaults(run=_cmd_bench_primes)
 

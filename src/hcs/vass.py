@@ -26,7 +26,7 @@ from math import ceil, inf
 from operator import add, le, neg, sub
 from typing import Iterable, Optional, Sequence
 
-from .automata import DEFAULT_STATE_CAP, Alphabet, _check_control, explore, layered_search
+from .automata import DEFAULT_STATE_CAP, EPS_NAME, Alphabet, _check_control, explore, layered_search
 from .errors import ContractError, InputError, ResourceLimitError
 
 COVER = "cover"
@@ -83,9 +83,23 @@ class Vass:
             raise InputError(f"unknown state {name!r}") from None
 
 
-def _fire(counters: tuple[int, ...], update: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    out = tuple(map(add, counters, update))
-    return None if min(out) < 0 else out
+#: The ``label`` of ``_fired`` that matches every transition.
+_ANY = -1
+
+
+def _fired(vass: Vass, state: int, counters: tuple, label: Optional[int] = _ANY):
+    """The one move table of a VASS: (transition, to-state, fired counters)
+    for each transition out of ``state`` with ``label`` (every one for
+    ``_ANY``) that keeps the counters non-negative, in index order."""
+    transitions, every = vass.transitions, label == _ANY
+    for t in vass.out_edges[state]:
+        _, lab, update, dst = transitions[t]
+        # ``is`` settles epsilon and equal small symbols, so the epsilon
+        # closure never makes the slow comparison of a symbol with None.
+        if lab is label or every or (label is not None and lab == label):
+            fired = tuple(map(add, counters, update))
+            if min(fired) >= 0:
+                yield t, dst, fired
 
 
 def config_accepting(vass: Vass, state: int, counters: tuple[int, ...]) -> bool:
@@ -112,16 +126,10 @@ def eps_closure_configs(
     per state, of the ``karp_miller`` tree rooted at ``configs`` over the
     epsilon moves.
     """
-    transitions, out = vass.transitions, vass.out_edges
     limit = "epsilon closure exceeded {} configurations"
 
-    def moves(state: int, counters: tuple) -> list:
-        succ = []
-        for t in out[state]:
-            _, label, update, dst = transitions[t]
-            if label is None and (fired := _fire(counters, update)) is not None:
-                succ.append((t, dst, fired))
-        return succ
+    def moves(state: int, counters: tuple):
+        return _fired(vass, state, counters, None)
 
     if vass.mode == COVER:
         nodes, _ = karp_miller(configs, moves, max_configs, limit)
@@ -145,13 +153,7 @@ def step_configs(
     max_configs: int = DEFAULT_STATE_CAP,
 ) -> frozenset[tuple[int, tuple[int, ...]]]:
     """All configurations reachable by reading one symbol (plus epsilon moves)."""
-    transitions, out = vass.transitions, vass.out_edges
-    nxt = set()
-    for state, counters in configs:
-        for t in out[state]:
-            _, label, update, dst = transitions[t]
-            if label == symbol and (fired := _fire(counters, update)) is not None:
-                nxt.add((dst, fired))
+    nxt = {(dst, fired) for state, counters in configs for _, dst, fired in _fired(vass, state, counters, symbol)}
     return eps_closure_configs(vass, nxt, max_configs)
 
 
@@ -229,13 +231,13 @@ class CoverabilityResult:
     nodes_explored: int
 
     def witness_word(self, vass: Vass) -> Optional[list[str]]:
-        """Witness as a symbol list ("eps" for epsilon-labelled transitions)."""
+        """Witness as a symbol list (``EPS_NAME`` for epsilon-labelled transitions)."""
         if self.witness is None:
             return None
         out = []
         for t in self.witness:
             label = vass.transitions[t][1]
-            out.append("eps" if label is None else vass.alphabet.symbols[label])
+            out.append(EPS_NAME if label is None else vass.alphabet.symbols[label])
         return out
 
 
@@ -248,8 +250,8 @@ def replay_transitions(
         src, _, update, dst = vass.transitions[t]
         if src != state:
             raise InputError(f"transition {t} does not start in state {vass.states[state]}")
-        fired = _fire(counters, update)
-        if fired is None:
+        fired = tuple(map(add, counters, update))
+        if min(fired) < 0:
             raise InputError(f"transition {t} would drive a counter negative at {counters}")
         state, counters = dst, fired
     return state, counters
@@ -351,19 +353,10 @@ def _accelerate(nodes: list[tuple], parent: int, via, control, vec: tuple) -> tu
 
 def _km_coverability(instance: CoverabilityInstance, node_cap: int) -> CoverabilityResult:
     vass = instance.vass
-    transitions, out = vass.transitions, vass.out_edges
-
-    def moves(state: int, vec: tuple):
-        for t in out[state]:
-            _, _, update, dst = transitions[t]
-            fired = _fire(vec, update)
-            if fired is not None:
-                yield t, dst, fired
-
     target, needed = instance.target, instance.target_counters
     nodes, hit = karp_miller(
         [(instance.source, tuple(instance.source_counters))],
-        moves,
+        lambda state, vec: _fired(vass, state, vec),
         node_cap,
         "Karp-Miller tree exceeded {} nodes",
         lambda state, vec: state == target and all(map(le, needed, vec)),

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import inf
+from operator import add
 from typing import Optional
 
 from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name, _missing_moves, _trusted
@@ -31,7 +32,6 @@ from .vass import (
     REACH,
     CoverabilityInstance,
     Vass,
-    _fire,
     config_accepting,
     decide_coverability,
     initial_configs,
@@ -83,21 +83,26 @@ def _product_moves(hcs: Hcs):
 
     A control is (underlying state, guard states ...), where a guard state
     is a state of its completed guard or ``DEAD``. ``moves(control)``
-    yields (transition index, label, next control, updates) for every
+    yields (transition index, label, next control, update) for every
     underlying transition from the state whose guard accepts, in transition
-    order; ``updates`` holds each guard's counter update, None for an
-    epsilon move and for a dead guard, which stays dead.
+    order. ``update`` is the guards' counter updates stacked in guard order:
+    zero for an epsilon move and on the slice of a dead guard, which stays
+    dead.
     """
     names = hcs.guard_names()
     index_of = {name: i for i, name in enumerate(names)}
     completed = [complete_vass(hcs.guards[name]) for name in names]
-    # per guard: (state, symbol) -> (update, destination)
-    steps = [{(src, label): (update, dst) for src, label, update, dst in g.transitions} for g in completed]
+    # per guard: (state, symbol) -> (update, destination), DEAD stepping to itself
+    steps = []
+    for g in completed:
+        step = {(src, label): (update, dst) for src, label, update, dst in g.transitions}
+        step.update({(DEAD, a): ((0,) * g.dim, DEAD) for a in range(len(hcs.alphabet))})
+        steps.append(step)
     by_src: dict[int, list[tuple[int, Optional[int], int, Optional[int]]]] = {}
     for t, (src, label, dst) in enumerate(hcs.underlying.transitions):
         name = hcs.guarded.get(t)
         by_src.setdefault(src, []).append((t, label, dst, None if name is None else index_of[name]))
-    no_updates = (None,) * len(completed)
+    zero = (0,) * sum(g.dim for g in completed)
 
     def moves(control: tuple):
         states = control[1:]
@@ -105,14 +110,14 @@ def _product_moves(hcs: Hcs):
             if g is not None and states[g] not in completed[g].accepting:
                 continue
             if label is None:
-                yield t, None, (dst, *states), no_updates
+                yield t, None, (dst, *states), zero
                 continue
-            nxt, updates = [dst], []
+            nxt, update = [dst], []
             for s, step in zip(states, steps):
-                update, s = (None, DEAD) if s == DEAD else step[s, label]
+                counts, s = step[s, label]
                 nxt.append(s)
-                updates.append(update)
-            yield t, label, tuple(nxt), updates
+                update += counts
+            yield t, label, tuple(nxt), tuple(update)
 
     return completed, moves
 
@@ -140,10 +145,7 @@ def product_vass(hcs: Hcs, assume_non_dying: bool = False) -> Vass:
     auto = hcs.underlying
 
     def successors(control: tuple) -> list:
-        return [
-            ((label, tuple([c for update in updates if update is not None for c in update]) or zero), nxt)
-            for _, label, nxt, updates in moves(control)
-        ]
+        return [((label, update or zero), nxt) for _, label, nxt, update in moves(control)]
 
     controls, edges, _ = explore([(auto.initial, *[g.initial for g in completed])], successors, inf, "")
     transitions = [(v, label, update, w) for v, (label, update), w in edges]
@@ -214,19 +216,15 @@ def _onthefly_empty_deterministic(hcs: Hcs, node_cap: int) -> bool:
     slices = [(i, bounds[i - 1], bounds[i]) for i in range(1, len(bounds))]  # (control position, slice)
 
     def moves(control: tuple, vec: tuple):
-        for t, label, nxt, updates in product_moves(control):
-            if label is None:
-                yield t, nxt, vec
-                continue
-            new_vec = vec
-            for update, (i, lo, hi) in zip(updates, slices):
-                if update is None:  # a dead guard: its slice is already zero
-                    continue
-                fired = _fire(vec[lo:hi], update)
-                if fired is None:
-                    nxt, fired = (*nxt[:i], DEAD, *nxt[i + 1:]), (0,) * (hi - lo)
-                new_vec = new_vec[:lo] + fired + new_vec[hi:]
-            yield t, nxt, new_vec
+        for t, _, nxt, update in product_moves(control):
+            fired = tuple(map(add, vec, update))
+            if fired and min(fired) < 0:
+                nxt, fired = list(nxt), list(fired)
+                for i, lo, hi in slices:
+                    if min(fired[lo:hi]) < 0:
+                        nxt[i], fired[lo:hi] = DEAD, (0,) * (hi - lo)
+                nxt, fired = tuple(nxt), tuple(fired)
+            yield t, nxt, fired
 
     auto = hcs.underlying
     _, hit = karp_miller(

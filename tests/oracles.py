@@ -558,34 +558,39 @@ def reference_bounded_reach(hcs, max_len, node_cap=1_000_000):
 
 def cover_vass_member(vass, word):
     """Membership of ``word`` in the language of a cover-mode VASS, decided
-    as backward coverability on the product of the word's linear automaton
-    with the VASS: copy i of the control reads epsilon moves in place and
-    the i-th symbol into copy i + 1; the last copy's accepting states lead
-    to one fresh target, to be covered with zero counters."""
-    from hcs.vass import COVER, CoverabilityInstance, Vass, decide_coverability
-
-    n = len(vass.states)
-    labels = [vass.alphabet.index(sym) for sym in word]
-    transitions = []
-    for i in range(len(labels) + 1):
-        for src, label, update, dst in vass.transitions:
-            if label is None:
-                transitions.append((i * n + src, None, update, i * n + dst))
-            elif i < len(labels) and label == labels[i]:
-                transitions.append((i * n + src, label, update, (i + 1) * n + dst))
-    target = (len(labels) + 1) * n
+    by backward coverability from the definition, over the raw transition
+    tuples. A node (i, q) is control state q after the first i symbols of
+    the word; an epsilon transition stays at i, a transition labelled with
+    symbol i moves to i + 1. The configurations that cover (len(word), f),
+    for an accepting f, form an upward-closed set, kept as its minimal
+    basis per node; the predecessor of basis vector v through update u is
+    max(v - u, 0), the least counters that fire u and land at or above v.
+    The word is accepted when the zero vector at (0, initial) is in the
+    set. Dickson's lemma bounds the basis, so the search ends."""
+    labels = [vass.alphabet.symbols.index(sym) for sym in word]
     zero = (0,) * vass.dim
-    transitions += [(len(labels) * n + f, None, zero, target) for f in sorted(vass.accepting)]
-    product = Vass(
-        vass.alphabet,
-        vass.dim,
-        tuple(f"c{i}" for i in range(target + 1)),
-        vass.initial,
-        frozenset({target}),
-        tuple(dict.fromkeys(transitions)),
-        COVER,
-    )
-    return decide_coverability(CoverabilityInstance(product, vass.initial, target, zero), "backward").coverable
+    basis = {(len(labels), f): [zero] for f in vass.accepting}
+    todo = [(node, zero) for node in basis]
+    while todo:
+        (i, q), vec = todo.pop()
+        if vec not in basis[i, q]:
+            continue  # replaced by a smaller vector since it was queued
+        for src, label, update, dst in vass.transitions:
+            if dst != q:
+                continue
+            if label is None:
+                node = (i, src)
+            elif i > 0 and label == labels[i - 1]:
+                node = (i - 1, src)
+            else:
+                continue
+            pred = tuple(max(v - u, 0) for v, u in zip(vec, update))
+            kept = basis.setdefault(node, [])
+            if any(all(k <= p for k, p in zip(old, pred)) for old in kept):
+                continue
+            kept[:] = [old for old in kept if not all(p <= k for p, k in zip(pred, old))] + [pred]
+            todo.append((node, pred))
+    return zero in basis.get((0, vass.initial), ())
 
 
 def _reference_subset_dfa(automaton, max_states):
