@@ -230,6 +230,11 @@ class SubsetDfa:
     ``advance`` and ``admits`` to a real guard product. They are instance
     attributes, not methods, so the rebinding shadows no method and the
     loops below make one plain call per lookup.
+
+    The start state is computed once. A new state's pair and table row are
+    listed before its id is published, so a subclass that threads walk
+    together (``core.member`` caches one per system) can intern under a
+    lock and read every filled entry without it.
     """
 
     def __init__(self, automaton: FiniteAutomaton, guard_at: Optional[dict[int, int]] = None):
@@ -251,6 +256,7 @@ class SubsetDfa:
         self._config_ids: dict[tuple[frozenset[int], Optional[int]], int] = {}
         self._delta: list[Optional[int]] = []
         self._unfilled = [None] * self._width
+        self._start: Optional[int] = None
         self.initial_product: Callable[[], int] = _no_guard_product
         self.advance: Callable[[int, int], int] = _same_guard_product
         self.admits: Callable[[int, int], bool] = _admit_all
@@ -258,8 +264,10 @@ class SubsetDfa:
     # -- the lazy DFA --
 
     def initial(self) -> int:
-        p = self.initial_product()
-        return self._state(self.closure({self.automaton.initial}, p), p)
+        if self._start is None:
+            p = self.initial_product()
+            self._start = self._state(self.closure({self.automaton.initial}, p), p)
+        return self._start
 
     def step(self, d: int, symbol: str | int) -> int:
         a = symbol if isinstance(symbol, int) else self.automaton.alphabet.index(symbol)
@@ -285,20 +293,33 @@ class SubsetDfa:
         return not self.automaton.accepting.isdisjoint(self.configs[d][0])
 
     def accepts(self, word: Sequence[str]) -> bool:
-        """Walk the lazy DFA along ``word``, given by symbol names."""
-        step = self.step
+        """Walk the lazy DFA along ``word``, given by symbol names, reading
+        each filled step from the table and computing the others."""
         d = self.initial()
-        for a in map(self.automaton.alphabet.index, word):
-            d = step(d, a)
+        alphabet = self.automaton.alphabet
+        try:
+            symbols = [alphabet._index[symbol] for symbol in word]
+        except (KeyError, TypeError):
+            # Name the unknown symbol only when the walk reaches it, so a
+            # cap error from an earlier step is still reported first.
+            symbols = map(alphabet.index, word)
+        delta, width, step = self._delta, self._width, self.step
+        for a in symbols:
+            nxt = delta[d * width + a]
+            d = step(d, a) if nxt is None else nxt
         return self.accepting(d)
 
     def _state(self, subset: frozenset[int], p: Optional[int]) -> int:
         key = (subset, p)
         d = self._config_ids.get(key)
         if d is None:
-            d = self._config_ids[key] = len(self.configs)
-            self.configs.append(key)
+            # The pair and its step-table row are listed before its id is
+            # published, so every id read from the dict indexes both. The
+            # table grows in place: ``accepts`` holds it across steps.
+            d = len(self.configs)
             self._delta += self._unfilled if subset else [d] * self._width
+            self.configs.append(key)
+            self._config_ids[key] = d
         return d
 
     def closure(self, seen: set[int], p: int) -> frozenset[int]:

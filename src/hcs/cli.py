@@ -20,7 +20,8 @@ from .core import is_empty as hcs_is_empty
 from .errors import HcsError, InputError, ResourceLimitError
 from .games import CountdownGame, HcsGame, countdown_to_hcs_game, normalize_countdown
 from .games import solve_countdown, solve_hcs_game
-from .vass import COVER, CoverabilityInstance, Vass, bounded_accepted_word, decide_coverability, vass_accepts
+from .vass import COVER, CoverabilityInstance, Vass, _fired, bounded_accepted_word, decide_coverability
+from .vass import karp_miller, vass_accepts
 from .vassguards import TwoCounterMachine, bounded_reach_empty, hcs_cover_empty, two_cm_to_hcs
 
 EXIT_OK = 0
@@ -101,15 +102,17 @@ def _cmd_empty(args) -> int:
             raise InputError(
                 "emptiness of a reach-mode VASS is undecidable here; use --engine bounded"
             )
-        nonempty = any(
-            decide_coverability(
-                CoverabilityInstance(model, model.initial, q, (0,) * model.dim),
-                "km",
-                args.max_states,
-            ).coverable
-            for q in sorted(model.accepting)
+        # One Karp-Miller tree answers for every accepting state: it stops
+        # at the first node whose control accepts.
+        accepting = model.accepting
+        _, hit = karp_miller(
+            [(model.initial, (0,) * model.dim)],
+            lambda state, vec: _fired(model, state, vec),
+            args.max_states,
+            "Karp-Miller tree exceeded {} nodes",
+            lambda state, vec: state in accepting,
         )
-        _emit({"empty": not nonempty})
+        _emit({"empty": hit is None})
         return EXIT_OK
     if isinstance(model, Hcs):
         kinds = {guard_kind(g) for g in model.guards.values()}

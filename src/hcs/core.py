@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import vass as vassmod
 from .automata import (
@@ -165,15 +165,16 @@ class GuardProduct:
 
     The product depends on the guards and the cap alone, never on the
     system they guard, so ``guard_product`` shares one product between
-    every semantics over the same regular guard objects. A shared product
-    interns new tuples, and adds their table rows, under a lock; its memo
-    entries are read and written without one, since each is a pure
-    function of its key.
+    every semantics over the same regular guard objects. A product that
+    threads may share (such a product, or one of a semantics that
+    ``member`` caches) interns new tuples, and adds their table rows, under
+    a lock, and so do its nested trackers; its memo entries are read and
+    written without one, since each is a pure function of its key.
     """
 
     def __init__(self, alphabet: Alphabet, guards: tuple, max_states: int, shared: bool = False):
         self.guards = guards
-        self.trackers = [_tracker(guard, max_states) for guard in guards]
+        self.trackers = [_tracker(guard, max_states, shared) for guard in guards]
         self.products: list[tuple] = []
         self._product_ids: dict[tuple, int] = {}
         # Flat memo tables, one row per product, None until asked for:
@@ -226,62 +227,98 @@ class GuardProduct:
         return ok
 
 
-def _tracker(guard: Guard, max_states: int):
+def _tracker(guard: Guard, max_states: int, shared: bool = False):
     kind = guard_kind(guard)
     if kind == REGULAR:
         return _RegularTracker(guard, max_states)
     if kind == VASS:
         return _VassTracker(guard, max_states)
-    return HcsSemantics(guard, max_states)
+    return (_SharedSemantics if shared else HcsSemantics)(guard, max_states)
 
 
-# Shared products of regular guard tuples, keyed by (guard ids in name
-# order, cap). An entry holds its guards alive, so no id in a live key is
-# reused. A key is admitted only on its second sighting, so that one-shot
-# guard tuples (fresh intersection gadgets) do not flush the entries that
-# repeat; ``_seen_keys`` remembers the recent first sightings.
+# Two caches of compiled values: guard products of regular guard tuples,
+# keyed by (guard ids in name order, cap), and the semantics ``member``
+# walks, keyed by (system id, cap). An entry holds the objects of its key
+# alive, so no id in a live key is reused. A key is admitted only on its
+# second sighting, so that one-shot values (fresh intersection gadgets) do
+# not flush the entries that repeat; each cache remembers its recent first
+# sightings. Each keeps at most ``_SHARED_CAPACITY`` entries, least
+# recently used out first.
 _SHARED_CAPACITY = 16
 _SEEN_CAPACITY = 64
-_shared_products: OrderedDict[tuple, GuardProduct] = OrderedDict()
-_seen_keys: OrderedDict[tuple, None] = OrderedDict()
+#: A cached semantics whose lazy DFA holds more states than this after a
+#: call is dropped: a VASS guard's lazy DFA has no bound of its own.
+_SHARED_DFA_STATES = 4096
 _shared_lock = threading.Lock()
 
 
-def guard_product(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> GuardProduct:
+class _AdmittingCache:
+    """One of the caches above: its entries and its first sightings."""
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, object] = OrderedDict()
+        self.seen: OrderedDict[tuple, None] = OrderedDict()
+
+    def get(self, key: tuple, make: Callable[[bool], object]):
+        """The entry under ``key``, or else ``make(admit)``: on the key's
+        second sighting ``admit`` is true and the value made is cached."""
+        with _shared_lock:
+            value = self.entries.get(key)
+            if value is not None:
+                self.entries.move_to_end(key)
+                return value
+            admit = key in self.seen
+            if admit:
+                del self.seen[key]
+            else:
+                self.seen[key] = None
+                if len(self.seen) > _SEEN_CAPACITY:
+                    self.seen.popitem(last=False)
+        value = make(admit)
+        if admit:
+            with _shared_lock:
+                value = self.entries.setdefault(key, value)
+                if len(self.entries) > _SHARED_CAPACITY:
+                    self.entries.popitem(last=False)
+        return value
+
+    def drop(self, key: tuple, value) -> None:
+        """Forget ``value`` if it is still the entry under ``key``."""
+        with _shared_lock:
+            if self.entries.get(key) is value:
+                del self.entries[key]
+
+    def clear(self) -> None:
+        with _shared_lock:
+            self.entries.clear()
+            self.seen.clear()
+
+
+_shared_products = _AdmittingCache()
+_shared_semantics = _AdmittingCache()
+
+
+def guard_product(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP, shared: bool = False) -> GuardProduct:
     """The product of the guards of ``hcs`` in name order: shared when there
     are guards, every one is regular and the tuple has been seen before;
     private otherwise (VASS and nested guards always get a private product).
-    The guards fix the alphabet, so the key need not hold it."""
+    The guards fix the alphabet, so the key need not hold it. With
+    ``shared``, a private product too is one that threads may step
+    together, as a ``_SharedSemantics`` needs."""
     guards = tuple([hcs.guards[name] for name in hcs.guard_names()])
     if not guards or not all(isinstance(guard, FiniteAutomaton) for guard in guards):
-        return GuardProduct(hcs.alphabet, guards, max_states)
-    key = (tuple(map(id, guards)), max_states)
-    with _shared_lock:
-        product = _shared_products.get(key)
-        if product is not None:
-            _shared_products.move_to_end(key)
-            return product
-        admit = key in _seen_keys
-        if admit:
-            del _seen_keys[key]
-        else:
-            _seen_keys[key] = None
-            if len(_seen_keys) > _SEEN_CAPACITY:
-                _seen_keys.popitem(last=False)
-    product = GuardProduct(hcs.alphabet, guards, max_states, shared=admit)
-    if admit:
-        with _shared_lock:
-            product = _shared_products.setdefault(key, product)
-            if len(_shared_products) > _SHARED_CAPACITY:
-                _shared_products.popitem(last=False)
-    return product
+        return GuardProduct(hcs.alphabet, guards, max_states, shared)
+    return _shared_products.get(
+        (tuple(map(id, guards)), max_states),
+        lambda admit: GuardProduct(hcs.alphabet, guards, max_states, admit or shared),
+    )
 
 
 def _clear_guard_products() -> None:
-    """Forget every shared guard product and first sighting (a cold cache)."""
-    with _shared_lock:
-        _shared_products.clear()
-        _seen_keys.clear()
+    """Forget every shared guard product and semantics, and every first
+    sighting (a cold cache)."""
+    _shared_products.clear()
+    _shared_semantics.clear()
 
 
 class HcsSemantics(SubsetDfa):
@@ -292,22 +329,58 @@ class HcsSemantics(SubsetDfa):
     trivial ones of ``SubsetDfa`` on the instance, so the stepping loops
     call the product directly; ``trackers`` and ``products`` are the
     product's. An ``HcsSemantics`` is itself a guard tracker
-    (``initial``/``step``/``accepting``) for a nested guard.
+    (``initial``/``step``/``accepting``) for a nested guard, private to
+    the semantics whose product holds it.
     """
+
+    #: Whether threads may walk this semantics together (see ``_SharedSemantics``).
+    shared = False
 
     def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
         self.hcs = hcs
         self.names = hcs.guard_names()
         index_of = {name: i for i, name in enumerate(self.names)}
         super().__init__(hcs.underlying, {t: index_of[name] for t, name in hcs.guarded.items()})
-        product = guard_product(hcs, max_states)
+        product = guard_product(hcs, max_states, self.shared)
         self.trackers, self.products = product.trackers, product.products
         self.initial_product, self.advance, self.admits = product.initial, product.advance, product.admits
 
 
+class _SharedSemantics(HcsSemantics):
+    """A semantics that threads walk together, as ``member`` caches them:
+    a state the table lacks is interned under a lock, after a second
+    look-up, and every filled entry is read without it. Its guard product
+    and nested trackers are ones that threads may step together too."""
+
+    shared = True
+
+    def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
+        super().__init__(hcs, max_states)
+        self._lock = threading.Lock()
+
+    def _state(self, subset: frozenset[int], p: Optional[int]) -> int:
+        d = self._config_ids.get((subset, p))
+        if d is None:
+            with self._lock:
+                return super()._state(subset, p)
+        return d
+
+
 def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -> bool:
-    """Decide whether ``word`` has an accepting run consistent with all guards."""
-    return HcsSemantics(hcs, max_states).accepts(word)
+    """Decide whether ``word`` has an accepting run consistent with all guards.
+
+    The word walks the system's semantics for this cap, cached across calls
+    (see ``_shared_semantics``), so steps that earlier words filled are
+    read from its table. A semantics whose lazy DFA outgrows
+    ``_SHARED_DFA_STATES`` is dropped after the call.
+    """
+    key = (id(hcs), max_states)
+    semantics = _shared_semantics.get(key, lambda shared: (_SharedSemantics if shared else HcsSemantics)(hcs, max_states))
+    try:
+        return semantics.accepts(word)
+    finally:
+        if len(semantics.configs) > _SHARED_DFA_STATES:
+            _shared_semantics.drop(key, semantics)
 
 
 def is_empty(hcs: Hcs, max_configs: int = DEFAULT_STATE_CAP) -> bool:

@@ -338,6 +338,26 @@ class TestCliVerdictsMatchLibrary:
         )
         assert code == 0 and verdict == {"empty": False}
 
+    def test_vass_empty_builds_one_karp_miller_tree(self, tmp_path, capsys, monkeypatch):
+        # 8 states; p4-p7 accept, but no transition enters them.
+        moves = ((0, 0, (1, 0), 1), (1, 0, (0, 1), 2), (2, 1, (-1, 0), 3), (3, 1, (0, -1), 0), (0, 1, (0, 0), 2))
+        moves += ((1, 1, (0, 0), 3),)
+        states = tuple(f"p{i}" for i in range(8))
+        path = tmp_path / "unreachable.json"
+        formats.save_path(str(path), Vass(AB, 2, states, 0, frozenset({4, 5, 6, 7}), moves, "cover"))
+        trees = []
+        karp_miller = cli.karp_miller
+
+        def spy(*args):
+            nodes, hit = karp_miller(*args)
+            trees.append((len(nodes), hit))
+            return nodes, hit
+
+        monkeypatch.setattr(cli, "karp_miller", spy)
+        assert cli.main(["empty", "--model", str(path)]) == 0
+        assert capsys.readouterr().out == '{"empty": true}\n'
+        assert trees == [(6, None)]
+
     def test_delimited_star_document(self, capsys):
         code, verdict = run_cli(
             capsys, ["member", "--model", model_path("delimited_star.json"), "--word", "$ a b $"]

@@ -1,11 +1,14 @@
-"""Guard products shared between semantics through the module cache.
+"""Guard products and semantics shared between calls through the module
+caches.
 
 A regular guard tuple seen a second time gets one ``GuardProduct`` that
-every later semantics over the same guard objects and cap reuses. Outputs
-must not depend on whether the cache is cold or warm, on which thread
-interns a tuple first, or on ``id`` values of guards that have died. Tests
-that need a cold cache empty it with ``_clear_guard_products`` themselves;
-nothing empties it between tests, so a sharing bug shows wherever it bites.
+every later semantics over the same guard objects and cap reuses, and a
+system that ``member`` sees a second time at one cap gets one
+``HcsSemantics`` that later calls walk. Outputs must not depend on whether
+the caches are cold or warm, on which thread interns a tuple or state
+first, or on ``id`` values of objects that have died. Tests that need cold
+caches empty them with ``_clear_guard_products`` themselves; nothing empties
+them between tests, so a sharing bug shows wherever it bites.
 """
 
 import gc
@@ -15,14 +18,15 @@ import os
 import random
 import sys
 import threading
+import time
 import weakref
 
 import pytest
 
 from hcs import core, formats
-from hcs.automata import FiniteAutomaton, determinize
+from hcs.automata import Alphabet, FiniteAutomaton, determinize
 from hcs.core import Hcs, HcsSemantics, _clear_guard_products, determinize_hcs, guard_product, is_empty, member
-from hcs.errors import HcsError, ResourceLimitError
+from hcs.errors import HcsError, InputError, ResourceLimitError
 from hcs.games import (
     CountdownGame,
     HcsGame,
@@ -34,10 +38,12 @@ from hcs.games import (
     solve_hcs_game,
 )
 from hcs.models import AB
+from hcs.vass import COVER, REACH, Vass
 
 from oracles import all_words
-from test_core import random_guarded_hcs
+from test_core import random_depth_two_hcs, random_guarded_hcs
 from test_explorer import random_countdown
+from test_vass import random_guarded_hcs as random_cover_guarded_hcs
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
@@ -79,15 +85,15 @@ def test_second_sighting_admits_and_only_regular_tuples_are_shared():
     assert guard_product(outer) is not guard_product(outer)
 
 
-def _solve_on_four_threads(games):
-    """Each of 4 threads solves every game, all starting together."""
+def _on_four_threads(compute):
+    """``compute()`` on each of 4 threads, all starting together."""
     results, errors = [None] * 4, []
     start = threading.Barrier(4)
 
     def work(i):
         try:
-            start.wait(timeout=60)  # all four intern the same tuples at once
-            results[i] = [solve_hcs_game(game) for game in games]
+            start.wait(timeout=60)  # all four intern the same values at once
+            results[i] = compute()
         except BaseException as err:  # reported below, on the main thread
             errors.append(err)
 
@@ -115,7 +121,7 @@ def test_threads_intern_into_one_shared_product():
         _clear_guard_products()
         product = _admit(games[0].hcs)
         assert not product.products  # the threads intern every tuple
-        for solutions in _solve_on_four_threads(games):
+        for solutions in _on_four_threads(lambda: [solve_hcs_game(game) for game in games]):
             assert [s.winner_from_initial for s in solutions] == [s.winner_from_initial for s in serial]
             for got, want in zip(solutions, serial):
                 assert got.arena.vertices == want.arena.vertices
@@ -161,14 +167,13 @@ def _verdicts(hcs):
     )
 
 
-def test_reused_ids_give_no_stale_hit(monkeypatch):
-    cold = []
-    for seed in range(60):
-        _clear_guard_products()
-        cold.append(_verdicts(random_guarded_hcs(random.Random(seed))))
-    # The cache keys guards by ``id``. CPython reuses the id of a dead
-    # object only when its allocator happens to, so the keys see an id that
-    # is handed out again, smallest free first, as soon as its object dies.
+def _recycle_ids(monkeypatch):
+    """Make ``core`` see recycled ids; returns the list of ids handed out.
+
+    The caches key objects by ``id``. CPython reuses the id of a dead
+    object only when its allocator happens to, so the keys see an id that
+    is handed out again, smallest free first, as soon as its object dies.
+    """
     live, free, handed = {}, [], []
 
     def release(key):
@@ -183,6 +188,15 @@ def test_reused_ids_give_no_stale_hit(monkeypatch):
         return live[key]
 
     monkeypatch.setattr(core, "id", recycled_id, raising=False)
+    return handed
+
+
+def test_reused_ids_give_no_stale_hit(monkeypatch):
+    cold = []
+    for seed in range(60):
+        _clear_guard_products()
+        cold.append(_verdicts(random_guarded_hcs(random.Random(seed))))
+    handed = _recycle_ids(monkeypatch)
     _clear_guard_products()
     for seed in range(60):
         hcs = random_guarded_hcs(random.Random(seed))
@@ -223,12 +237,19 @@ def test_cold_and_warm_caches_give_identical_arenas():
     assert [build_arena(game) for game in games] == cold
 
 
-def test_cold_and_warm_caches_agree_on_shipped_models():
+def _shipped_models():
+    """Every model in ``models/`` by file name, a countdown game reduced to
+    its guarded game."""
     for name in sorted(os.listdir(MODELS)):
         with open(os.path.join(MODELS, name), encoding="utf-8") as handle:
             model = formats.from_document(json.load(handle))
         if isinstance(model, CountdownGame):
             model = countdown_to_hcs_game(normalize_countdown(model))
+        yield name, model
+
+
+def test_cold_and_warm_caches_agree_on_shipped_models():
+    for name, model in _shipped_models():
         if isinstance(model, HcsGame):
             computations = [lambda: build_arena(model)]
         elif isinstance(model, Hcs):
@@ -241,3 +262,233 @@ def test_cold_and_warm_caches_agree_on_shipped_models():
         for compute in computations:
             cold, admitted, hit = _cold_then_warm(compute)
             assert cold == admitted == hit, name
+
+
+# ---------------------------------------------------------------------------
+# The semantics ``member`` walks, cached per (system, cap)
+
+
+def _cached(hcs, max_states=core.DEFAULT_STATE_CAP):
+    return core._shared_semantics.entries.get((id(hcs), max_states))
+
+
+def _loop_hcs():
+    """A fresh one-state system over {a, b} with no guards."""
+    loop = FiniteAutomaton(AB, ("q",), 0, frozenset({0}), ((0, 0, 0), (0, 1, 0)))
+    return Hcs(AB, loop, {}, {})
+
+
+def test_member_admits_a_system_on_its_second_sighting():
+    hcs = random_depth_two_hcs(random.Random(7))
+    _clear_guard_products()
+    member(hcs, ["a"])
+    assert _cached(hcs) is None
+    member(hcs, ["a", "b"])
+    semantics = _cached(hcs)
+    assert isinstance(semantics, core._SharedSemantics) and semantics.hcs is hcs
+    member(hcs, ["b"])
+    assert _cached(hcs) is semantics
+    # At most 16 entries, the least recently used out first.
+    others = [_loop_hcs() for _ in range(core._SHARED_CAPACITY)]
+    for other in others:
+        member(other, [])
+        member(other, [])
+    assert _cached(hcs) is None
+    assert all(_cached(other) is not None for other in others)
+    _clear_guard_products()
+    assert not core._shared_semantics.entries and not core._shared_semantics.seen
+
+
+def _eps_loop_hcs():
+    """Language {a}; the one move is guarded by a cover VASS with a +1
+    epsilon self-loop."""
+    alphabet = Alphabet(("a",))
+    pump = Vass(alphabet, 1, ("p",), 0, frozenset({0}), ((0, None, (1,), 0), (0, 0, (0,), 0)), COVER)
+    underlying = FiniteAutomaton(alphabet, ("s0", "s1"), 0, frozenset({1}), ((0, 0, 1),))
+    return Hcs(alphabet, underlying, {"pump": pump}, {0: "pump"})
+
+
+def test_the_cap_is_part_of_the_semantics_key():
+    hcs = _eps_loop_hcs()
+    _clear_guard_products()
+    for cap in (core.DEFAULT_STATE_CAP, 10_000, core.DEFAULT_STATE_CAP, 10_000):
+        assert member(hcs, ["a"], cap) and not member(hcs, ["a", "a"], cap)
+    default, small = _cached(hcs), _cached(hcs, 10_000)
+    assert default is not None and small is not None and default is not small
+    assert member(hcs, ["a"], 10_000) and _cached(hcs, 10_000) is small
+
+
+def test_reused_system_ids_give_no_stale_semantics(monkeypatch):
+    systems = [random_guarded_hcs, random_depth_two_hcs, random_cover_guarded_hcs]
+    words = list(all_words(AB, 3))
+    cold = []
+    for seed in range(60):
+        hcs = systems[seed % 3](random.Random(seed))
+        cold.append([HcsSemantics(hcs).accepts(w) for w in words])
+    handed = _recycle_ids(monkeypatch)
+    _clear_guard_products()
+    for seed in range(60):
+        hcs = systems[seed % 3](random.Random(seed))
+        for _ in range(3):  # a stale entry would answer one of these
+            assert [member(hcs, w) for w in words] == cold[seed], seed
+        del hcs
+        gc.collect()
+    assert len(set(handed)) < len(handed)  # some id did come back
+
+
+def _assert_interned_once(semantics):
+    """Ids and pairs are a bijection, every id has its table row, and so
+    for the guard product and every nested tracker."""
+    configs, ids = semantics.configs, semantics._config_ids
+    assert len(configs) == len(ids) == len(set(configs))
+    assert all(ids[c] == d for d, c in enumerate(configs))
+    assert len(semantics._delta) == len(configs) * semantics._width
+    assert len(set(semantics.products)) == len(semantics.products)
+    for tracker in semantics.trackers:
+        if isinstance(tracker, HcsSemantics):
+            _assert_interned_once(tracker)
+
+
+class _YieldingList(list):
+    """A list whose ``append`` lets other threads run first. A state is
+    appended between the look-up that missed it and the publication of its
+    id, so a race that interning without the lock would lose is lost in
+    every round, not once in many."""
+
+    def append(self, item):
+        time.sleep(0)
+        super().append(item)
+
+
+def _yield_on_intern(semantics):
+    semantics.configs = _YieldingList(semantics.configs)
+    for tracker in semantics.trackers:
+        if isinstance(tracker, HcsSemantics):
+            _yield_on_intern(tracker)
+
+
+def test_threads_walk_one_cached_semantics():
+    rng = random.Random(2424)
+    systems = [random_depth_two_hcs(rng) for _ in range(4)] + [random_cover_guarded_hcs(rng) for _ in range(4)]
+    outer = FiniteAutomaton(AB, ("o0", "o1"), 0, frozenset({1}), ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    systems += [Hcs(AB, outer, {"n": hcs}, {1: "n", 2: "n"}) for hcs in systems[4:6]]
+    # The threads walk the counting system first, in step, so they miss on
+    # the same new states together.
+    counting = _counting_hcs()
+    queries = [(counting, ["a"] * 100 + ["b"] * 100)]
+    queries += [(hcs, [rng.choice("ab") for _ in range(rng.randint(0, 40))]) for hcs in systems for _ in range(6)]
+    systems.append(counting)
+    serial = [HcsSemantics(hcs).accepts(word) for hcs, word in queries]
+    for _ in range(3):
+        _clear_guard_products()
+        for hcs in systems:
+            member(hcs, [])
+            member(hcs, [])
+        cached = [_cached(hcs) for hcs in systems]
+        assert all(semantics is not None and len(semantics.configs) == 1 for semantics in cached)
+        for semantics in cached:
+            _yield_on_intern(semantics)
+        for verdicts in _on_four_threads(lambda: [member(hcs, word) for hcs, word in queries]):
+            assert verdicts == serial
+        assert [_cached(hcs) for hcs in systems] == cached
+        for semantics in cached:
+            _assert_interned_once(semantics)
+
+
+def _bursting_hcs():
+    """Reading b sends a reach-mode guard into a +1 epsilon self-loop,
+    whose epsilon closure has no end."""
+    burst = Vass(AB, 1, ("r0", "r1"), 0, frozenset({0}), ((0, 0, (0,), 0), (0, 1, (0,), 1), (1, None, (1,), 1)), REACH)
+    underlying = FiniteAutomaton(AB, ("q",), 0, frozenset({0}), ((0, 0, 0), (0, 1, 0)))
+    return Hcs(AB, underlying, {"g": burst}, {0: "g"})
+
+
+def test_a_cap_error_leaves_the_cached_semantics_usable():
+    hcs = _bursting_hcs()
+    limit = "epsilon closure exceeded 50 configurations"
+    _clear_guard_products()
+    member(hcs, ["a"], 50)
+    member(hcs, ["a"], 50)
+    semantics = _cached(hcs, 50)
+    for _ in range(3):
+        with pytest.raises(ResourceLimitError, match=f"^{limit}$"):
+            member(hcs, ["a", "a", "b", "a"], 50)
+        assert _cached(hcs, 50) is semantics
+        assert member(hcs, ["a", "a", "a"], 50)
+    _assert_interned_once(semantics)
+
+
+def _counting_hcs():
+    """One state looping on a and b; b needs a cover VASS guard that counts
+    a's up and b's down. Each a read is another guard runtime, so another
+    state of the lazy DFA."""
+    counter = Vass(AB, 1, ("c",), 0, frozenset({0}), ((0, 0, (1,), 0), (0, 1, (-1,), 0)), COVER)
+    underlying = FiniteAutomaton(AB, ("q",), 0, frozenset({0}), ((0, 0, 0), (0, 1, 0)))
+    return Hcs(AB, underlying, {"n": counter}, {1: "n"})
+
+
+def test_a_semantics_that_outgrows_its_bound_is_dropped():
+    hcs = _counting_hcs()
+    _clear_guard_products()
+    member(hcs, [])
+    member(hcs, [])
+    semantics = _cached(hcs)
+    assert member(hcs, ["a"] * 100 + ["b"] * 100) and _cached(hcs) is semantics
+    assert member(hcs, ["a"] * core._SHARED_DFA_STATES)
+    assert len(semantics.configs) > core._SHARED_DFA_STATES
+    assert _cached(hcs) is None
+    assert member(hcs, ["a"])  # seen afresh: private, then admitted again
+    assert _cached(hcs) is None
+    assert member(hcs, ["a"])
+    assert len(_cached(hcs).configs) == 2
+
+
+# ---------------------------------------------------------------------------
+# Verdicts and errors do not depend on the cache
+
+
+def _membership_systems():
+    systems = [
+        (name, model.hcs if isinstance(model, HcsGame) else model)
+        for name, model in _shipped_models()
+        if isinstance(model, (Hcs, HcsGame))
+    ]
+    rng = random.Random(4242)
+    for i in range(12):
+        systems.append((f"regular{i}", random_guarded_hcs(rng)))
+        systems.append((f"nested{i}", random_depth_two_hcs(rng)))
+        systems.append((f"cover{i}", random_cover_guarded_hcs(rng)))
+    return systems
+
+
+def test_cold_admitted_and_cached_semantics_agree_on_every_short_word():
+    for name, hcs in _membership_systems():
+        words = list(all_words(hcs.alphabet, 4))
+        cold, admitted = [], []
+        for word in words:
+            _clear_guard_products()
+            cold.append(_outcome(lambda: member(hcs, word)))
+            admitted.append(_outcome(lambda: member(hcs, word)))  # on the entry this call admits
+        semantics = _cached(hcs)
+        hits = [_outcome(lambda: member(hcs, word)) for word in words]
+        assert cold == admitted == hits, name
+        assert semantics is not None and _cached(hcs) is semantics
+
+
+def test_unknown_symbols_and_cap_errors_keep_their_text_and_order():
+    bursting = _bursting_hcs()
+    pumping = Vass(AB, 1, ("r",), 0, frozenset({0}), ((0, None, (1,), 0),), REACH)
+    at_start = Hcs(AB, bursting.underlying, {"g": pumping}, {0: "g"})
+    limit = "^epsilon closure exceeded 50 configurations$"
+    _clear_guard_products()
+    for _ in range(3):  # cold, on admission, then cached
+        with pytest.raises(InputError, match=r"^unknown symbol 'c' \(alphabet: \['a', 'b'\]\)$"):
+            member(bursting, ["a", "c", "b"], 50)
+        with pytest.raises(InputError, match=r"^unknown symbol \['a'\] \(alphabet: \['a', 'b'\]\)$"):
+            member(bursting, ["a", ["a"]], 50)
+        # A cap error from an earlier step, or from the start, comes first.
+        with pytest.raises(ResourceLimitError, match=limit):
+            member(bursting, ["a", "b", "c"], 50)
+        with pytest.raises(ResourceLimitError, match=limit):
+            member(at_start, ["c"], 50)
+    assert _cached(bursting, 50) is not None
