@@ -7,6 +7,7 @@ construction and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields
 from math import inf
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
@@ -210,10 +211,6 @@ def _same_guard_product(p: int, a: int) -> int:
     return p
 
 
-def _admit_all(p: int, g: int) -> bool:
-    return True
-
-
 class SubsetDfa:
     """The subset construction of an automaton as a lazily built DFA.
 
@@ -226,18 +223,21 @@ class SubsetDfa:
     ``guard_at`` maps transition indices to guard positions. A transition
     with a guard is taken only where ``admits`` holds, and each symbol read
     moves the guard product by ``advance``. Here the only guard product is 0
-    and both are trivial; ``core.HcsSemantics`` rebinds ``initial_product``,
-    ``advance`` and ``admits`` to a real guard product. They are instance
-    attributes, not methods, so the rebinding shadows no method and the
-    loops below make one plain call per lookup.
+    and ``advance`` keeps it; ``core.HcsSemantics`` rebinds
+    ``initial_product``, ``advance`` and ``admits`` to a real guard product.
+    They are instance attributes, not methods, so the rebinding shadows no
+    method and the loops below make one plain call per lookup. Without a
+    ``guard_at`` no edge has a guard and ``admits`` is never called, so a
+    plain instance (an automaton, or a nondeterministic regular guard's
+    tracker) leaves it unset.
 
     The start state is computed once. A new state's pair and table row are
-    listed before its id is published, so a subclass that threads walk
-    together (``core.member`` caches one per system) can intern under a
-    lock and read every filled entry without it.
+    listed before its id is published. A ``shared`` instance, which threads
+    walk together, interns a state under a lock, after a second look-up,
+    and reads every filled entry without it.
     """
 
-    def __init__(self, automaton: FiniteAutomaton, guard_at: Optional[dict[int, int]] = None):
+    def __init__(self, automaton: FiniteAutomaton, guard_at: Optional[dict[int, int]] = None, shared: bool = False):
         self.automaton = automaton
         guard_at = guard_at or {}
         # The one edge table: per state, label -> [(destination, guard
@@ -259,7 +259,7 @@ class SubsetDfa:
         self._start: Optional[int] = None
         self.initial_product: Callable[[], int] = _no_guard_product
         self.advance: Callable[[int, int], int] = _same_guard_product
-        self.admits: Callable[[int, int], bool] = _admit_all
+        self._lock = threading.Lock() if shared else None
 
     # -- the lazy DFA --
 
@@ -313,13 +313,22 @@ class SubsetDfa:
         key = (subset, p)
         d = self._config_ids.get(key)
         if d is None:
-            # The pair and its step-table row are listed before its id is
-            # published, so every id read from the dict indexes both. The
-            # table grows in place: ``accepts`` holds it across steps.
-            d = len(self.configs)
-            self._delta += self._unfilled if subset else [d] * self._width
-            self.configs.append(key)
-            self._config_ids[key] = d
+            lock = self._lock
+            if lock is not None:  # shared: look again under the lock
+                lock.acquire()
+                d = self._config_ids.get(key)
+            try:
+                if d is None:
+                    # The pair and its table row are listed before its id is
+                    # published, so every id read from the dict indexes both.
+                    # The table grows in place: ``accepts`` holds it.
+                    d = len(self.configs)
+                    self._delta += self._unfilled if subset else [d] * self._width
+                    self.configs.append(key)
+                    self._config_ids[key] = d
+            finally:
+                if lock is not None:
+                    lock.release()
         return d
 
     def closure(self, seen: set[int], p: int) -> frozenset[int]:

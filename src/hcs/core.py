@@ -24,7 +24,6 @@ from .automata import (
     _dfa_rows,
     _fresh_name,
     complete,
-    determinize,
 )
 from .errors import InputError, UnsupportedGuardError
 from .vass import Vass
@@ -116,16 +115,16 @@ def total_state_count(hcs: Hcs) -> int:
 #
 # Guard runtime states are a deterministic function of the sigma-projection
 # of the consumed prefix, so one runtime per guard is shared by every run in
-# a configuration: a DFA state index for regular guards, the inner lazy DFA
-# state for nested guards, and the configurations a VASS guard can reach
-# (empty once the guard has died; maximal omega-configurations in cover
-# mode, see ``vass.eps_closure_configs``).
+# a configuration: a state index of the completed DFA guard, the lazy
+# subset DFA state of an NFA guard (never determinized whole), the inner
+# lazy DFA state for nested guards, and the configurations a VASS guard can
+# reach (empty once the guard has died; maximal omega-configurations in
+# cover mode, see ``vass.eps_closure_configs``).
 
 
 class _RegularTracker:
-    def __init__(self, guard: FiniteAutomaton, max_states: int):
-        dfa = guard if guard.deterministic else determinize(guard, max_states)
-        dfa = complete(dfa)
+    def __init__(self, guard: FiniteAutomaton):
+        dfa = complete(guard)
         self.delta = _dfa_rows(dfa)
         self.accept = dfa.accepting
         self.start = dfa.initial
@@ -168,8 +167,9 @@ class GuardProduct:
     every semantics over the same regular guard objects. A product that
     threads may share (such a product, or one of a semantics that
     ``member`` caches) interns new tuples, and adds their table rows, under
-    a lock, and so do its nested trackers; its memo entries are read and
-    written without one, since each is a pure function of its key.
+    a lock, and so do its lazy trackers (of nondeterministic regular and
+    of nested guards); its memo entries are read and written without one,
+    since each is a pure function of its key.
     """
 
     def __init__(self, alphabet: Alphabet, guards: tuple, max_states: int, shared: bool = False):
@@ -230,10 +230,10 @@ class GuardProduct:
 def _tracker(guard: Guard, max_states: int, shared: bool = False):
     kind = guard_kind(guard)
     if kind == REGULAR:
-        return _RegularTracker(guard, max_states)
+        return _RegularTracker(guard) if guard.deterministic else SubsetDfa(guard, shared=shared)
     if kind == VASS:
         return _VassTracker(guard, max_states)
-    return (_SharedSemantics if shared else HcsSemantics)(guard, max_states)
+    return HcsSemantics(guard, max_states, shared)
 
 
 # Two caches of compiled values: guard products of regular guard tuples,
@@ -304,7 +304,7 @@ def guard_product(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP, shared: bool = 
     private otherwise (VASS and nested guards always get a private product).
     The guards fix the alphabet, so the key need not hold it. With
     ``shared``, a private product too is one that threads may step
-    together, as a ``_SharedSemantics`` needs."""
+    together, as a shared ``HcsSemantics`` needs."""
     guards = tuple([hcs.guards[name] for name in hcs.guard_names()])
     if not guards or not all(isinstance(guard, FiniteAutomaton) for guard in guards):
         return GuardProduct(hcs.alphabet, guards, max_states, shared)
@@ -330,40 +330,19 @@ class HcsSemantics(SubsetDfa):
     call the product directly; ``trackers`` and ``products`` are the
     product's. An ``HcsSemantics`` is itself a guard tracker
     (``initial``/``step``/``accepting``) for a nested guard, private to
-    the semantics whose product holds it.
+    the semantics whose product holds it. A ``shared`` semantics, which
+    threads walk together as ``member`` caches them, interns its states
+    under a lock and has a product that threads may step together too.
     """
 
-    #: Whether threads may walk this semantics together (see ``_SharedSemantics``).
-    shared = False
-
-    def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
+    def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP, shared: bool = False):
         self.hcs = hcs
         self.names = hcs.guard_names()
         index_of = {name: i for i, name in enumerate(self.names)}
-        super().__init__(hcs.underlying, {t: index_of[name] for t, name in hcs.guarded.items()})
-        product = guard_product(hcs, max_states, self.shared)
+        super().__init__(hcs.underlying, {t: index_of[name] for t, name in hcs.guarded.items()}, shared)
+        product = guard_product(hcs, max_states, shared)
         self.trackers, self.products = product.trackers, product.products
         self.initial_product, self.advance, self.admits = product.initial, product.advance, product.admits
-
-
-class _SharedSemantics(HcsSemantics):
-    """A semantics that threads walk together, as ``member`` caches them:
-    a state the table lacks is interned under a lock, after a second
-    look-up, and every filled entry is read without it. Its guard product
-    and nested trackers are ones that threads may step together too."""
-
-    shared = True
-
-    def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
-        super().__init__(hcs, max_states)
-        self._lock = threading.Lock()
-
-    def _state(self, subset: frozenset[int], p: Optional[int]) -> int:
-        d = self._config_ids.get((subset, p))
-        if d is None:
-            with self._lock:
-                return super()._state(subset, p)
-        return d
 
 
 def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -> bool:
@@ -375,7 +354,7 @@ def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -
     ``_SHARED_DFA_STATES`` is dropped after the call.
     """
     key = (id(hcs), max_states)
-    semantics = _shared_semantics.get(key, lambda shared: (_SharedSemantics if shared else HcsSemantics)(hcs, max_states))
+    semantics = _shared_semantics.get(key, lambda shared: HcsSemantics(hcs, max_states, shared))
     try:
         return semantics.accepts(word)
     finally:
@@ -408,10 +387,11 @@ def determinize_hcs(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> FiniteAuto
     """Build a complete DFA for the HCS language.
 
     The lazy DFA of ``HcsSemantics``, built to completion: each state is a
-    maximal subset of underlying states paired with one state per
-    (determinized, completed) guard, numbered in breadth-first order. Dead
-    subsets share a single sink. A nested guard runs on its own lazy DFA,
-    which is filled only as far as the outer DFA reaches it.
+    maximal subset of underlying states paired with one runtime per guard,
+    numbered in breadth-first order. Dead subsets share a single sink. A
+    nondeterministic regular guard and a nested guard run on their own
+    lazy DFAs, which are filled only as far as the outer DFA reaches them,
+    so ``max_states`` bounds the outer DFA alone.
     """
     _require_regular(hcs)
     return HcsSemantics(hcs, max_states).build(max_states, "d{}".format)

@@ -24,8 +24,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
-from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name
-from .core import REGULAR, Hcs, HcsSemantics, guard_kind, guard_product
+from .automata import DEFAULT_STATE_CAP, Alphabet, FiniteAutomaton, _fresh_name, complete, determinize
+from .core import REGULAR, Hcs, HcsSemantics, guard_kind
 from .errors import ContractError, InputError, ResourceLimitError, UnsupportedGuardError
 
 REACH = "reach"
@@ -168,8 +168,10 @@ def game_non_blocking(game: HcsGame) -> HcsGame:
 def build_arena(game: HcsGame, max_vertices: int = DEFAULT_STATE_CAP) -> Arena:
     """Materialize the reachable product game graph.
 
-    Guards are determinized and completed internally; epsilon moves of the
-    underlying automaton become arena edges that leave guard states alone.
+    Guards run as in ``HcsSemantics``: a DFA guard on its completed table,
+    an NFA guard on its lazy subset DFA, filled only as far as the arena
+    reaches it. Epsilon moves of the underlying automaton become arena
+    edges that leave guard states alone.
     """
     semantics = HcsSemantics(game.hcs, max_vertices)
     nodes, edges, _ = semantics.explore(max_vertices, "arena construction exceeded {} vertices")
@@ -192,13 +194,12 @@ def build_arena(game: HcsGame, max_vertices: int = DEFAULT_STATE_CAP) -> Arena:
 def arena_size_bounds(game: HcsGame) -> tuple[int, int]:
     """Vertex and edge bounds from the product structure.
 
-    Computed over the determinized-and-completed guard DFAs actually used in
-    the arena, read off the trackers of the guard product: |Q| * (sum of
-    guard state counts)^m and |T| * (sum of guard transition counts)^m, where
-    a complete DFA has states * |alphabet| transitions.
+    Computed over the complete guard DFAs (an NFA guard determinized whole):
+    |Q| * (sum of guard state counts)^m and |T| * (sum of guard transition
+    counts)^m, where a complete DFA has states * |alphabet| transitions.
     """
     hcs = game.hcs
-    state_counts = [len(tracker.delta) for tracker in guard_product(hcs).trackers]
+    state_counts = [len((complete(g) if g.deterministic else determinize(g)).states) for g in hcs.guards.values()]
     m = len(state_counts)
     q_sum = sum(state_counts)
     t_sum = q_sum * len(hcs.alphabet)

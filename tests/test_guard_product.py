@@ -24,7 +24,7 @@ import weakref
 import pytest
 
 from hcs import core, formats
-from hcs.automata import Alphabet, FiniteAutomaton, determinize
+from hcs.automata import Alphabet, FiniteAutomaton
 from hcs.core import Hcs, HcsSemantics, _clear_guard_products, determinize_hcs, guard_product, is_empty, member
 from hcs.errors import HcsError, InputError, ResourceLimitError
 from hcs.games import (
@@ -43,6 +43,7 @@ from hcs.vass import COVER, REACH, Vass
 from oracles import all_words
 from test_core import random_depth_two_hcs, random_guarded_hcs
 from test_explorer import random_countdown
+from test_lazy_dfa import checked_by, nth_from_last_guard
 from test_vass import random_guarded_hcs as random_cover_guarded_hcs
 
 MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
@@ -132,30 +133,42 @@ def test_threads_intern_into_one_shared_product():
         assert all(product._product_ids[t] == p for p, t in enumerate(product.products))
 
 
-def _needs_n_states():
-    """A nondeterministic guard (third symbol from the end is a) and the
-    number of states its determinization needs."""
-    guard = FiniteAutomaton(
-        AB,
-        ("s", "x", "y", "z"),
-        0,
-        frozenset({3}),
-        ((0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 2), (1, 1, 2), (2, 0, 3), (2, 1, 3)),
-    )
-    return guard, len(determinize(guard).states)
-
-
 def test_the_cap_is_part_of_the_key():
-    guard, n = _needs_n_states()
-    loop = FiniteAutomaton(AB, ("q",), 0, frozenset({0}), ((0, 0, 0), (0, 1, 0)))
-    hcs = Hcs(AB, loop, {"g": guard}, {0: "g"})
+    hcs = checked_by(nth_from_last_guard(3))
+    n = len(determinize_hcs(hcs).states)  # the outer DFA needs n states
     _clear_guard_products()
     product = _admit(hcs, n)
-    assert len(product.trackers[0].delta) == n
-    for _ in range(3):  # unseen, seen once, then would-be admission
-        with pytest.raises(ResourceLimitError):
-            HcsSemantics(hcs, n - 1)
+    assert len(determinize_hcs(hcs, n).states) == n
+    for _ in range(3):  # cold, on admission, then cached
+        with pytest.raises(ResourceLimitError, match=f"^determinization exceeded the state cap of {n - 1}$"):
+            determinize_hcs(hcs, n - 1)
+    assert guard_product(hcs, n - 1) is not product
     assert guard_product(hcs, n) is product
+
+
+def test_threads_step_one_shared_nondeterministic_guard():
+    hcs = checked_by(nth_from_last_guard(4))
+    rng = random.Random(2626)
+    words = [[rng.choice("ab") for _ in range(rng.randint(0, 12))] for _ in range(60)]
+    _clear_guard_products()
+    serial = [HcsSemantics(hcs).accepts(word) for word in words]
+    document = formats.to_document(determinize_hcs(hcs))
+    for _ in range(3):
+        _clear_guard_products()
+        product = _admit(hcs)
+        (tracker,) = product.trackers
+        assert tracker._lock is not None and not tracker.configs
+        tracker.configs = _YieldingList()  # a lost race is lost every round
+
+        def walk():
+            return [HcsSemantics(hcs).accepts(word) for word in words], formats.to_document(determinize_hcs(hcs))
+
+        for verdicts, got in _on_four_threads(walk):
+            assert verdicts == serial and got == document
+        configs, ids = tracker.configs, tracker._config_ids
+        assert len(configs) == len(ids) == len(set(configs)) == 2**4
+        assert all(ids[c] == d for d, c in enumerate(configs))
+        assert len(tracker._delta) == len(configs) * tracker._width
 
 
 def _verdicts(hcs):
@@ -210,9 +223,9 @@ def test_one_tracker_per_guard_per_entry(monkeypatch):
     built = []
 
     class Counting(core._RegularTracker):
-        def __init__(self, guard, max_states):
+        def __init__(self, guard):
             built.append(guard)
-            super().__init__(guard, max_states)
+            super().__init__(guard)
 
     monkeypatch.setattr(core, "_RegularTracker", Counting)
     rng = random.Random(5050)
@@ -285,7 +298,7 @@ def test_member_admits_a_system_on_its_second_sighting():
     assert _cached(hcs) is None
     member(hcs, ["a", "b"])
     semantics = _cached(hcs)
-    assert isinstance(semantics, core._SharedSemantics) and semantics.hcs is hcs
+    assert semantics._lock is not None and semantics.hcs is hcs
     member(hcs, ["b"])
     assert _cached(hcs) is semantics
     # At most 16 entries, the least recently used out first.

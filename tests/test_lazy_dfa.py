@@ -148,6 +148,33 @@ def test_nested_guard_emptiness_terminates():
     assert is_empty(hcs, max_configs=5000)
 
 
+def nth_from_last_guard(n):
+    """The n-th symbol from the end is a: n + 1 states, whose subset DFA
+    has 2^n states."""
+    states = ("s",) + tuple(f"x{i}" for i in range(1, n + 1))
+    moves = tuple((i, a, i + 1) for i in range(1, n) for a in (0, 1))
+    return FiniteAutomaton(AB, states, 0, frozenset({n}), ((0, 0, 0), (0, 1, 0), (0, 0, 1)) + moves)
+
+
+def checked_by(guard):
+    """A system with the guard's language: any word, then an epsilon move
+    that the guard must admit."""
+    underlying = FiniteAutomaton(AB, ("q0", "q1"), 0, frozenset({1}), ((0, 0, 0), (0, 1, 0), (0, None, 1)))
+    return Hcs(AB, underlying, {"g": guard}, {2: "g"})
+
+
+def test_a_nondeterministic_guard_is_never_determinized_whole():
+    # The guard's DFA has 2^18 states, over the cap; a word visits one
+    # subset per prefix.
+    hcs = checked_by(nth_from_last_guard(18))
+    word = ["b"] * 5 + ["a"] + ["b"] * 17
+    assert member(hcs, word, 100_000)
+    assert not member(hcs, word[1:] + ["b"], 100_000)
+    semantics = HcsSemantics(hcs, 100_000)
+    assert semantics.accepts(word)
+    assert len(semantics.trackers[0].configs) <= len(word) + 1
+
+
 def random_pumping_cover_vass(rng):
     """A small cover VASS over {a, b} with at least one epsilon self-loop
     that raises a counter."""
