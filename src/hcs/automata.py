@@ -7,7 +7,6 @@ construction and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields
 from math import inf
 from typing import Callable, Collection, Hashable, Iterable, Iterator, Optional, Sequence
@@ -231,13 +230,12 @@ class SubsetDfa:
     plain instance (an automaton, or a nondeterministic regular guard's
     tracker) leaves it unset.
 
-    The start state is computed once. A new state's pair and table row are
-    listed before its id is published. A ``shared`` instance, which threads
-    walk together, interns a state under a lock, after a second look-up,
-    and reads every filled entry without it.
+    The start state is computed once. An instance is single-threaded: it
+    interns states without a lock, so threads that share one must take
+    turns (as ``core.member`` does for the semantics it caches).
     """
 
-    def __init__(self, automaton: FiniteAutomaton, guard_at: Optional[dict[int, int]] = None, shared: bool = False):
+    def __init__(self, automaton: FiniteAutomaton, guard_at: Optional[dict[int, int]] = None):
         self.automaton = automaton
         guard_at = guard_at or {}
         # The one edge table: per state, label -> [(destination, guard
@@ -259,7 +257,6 @@ class SubsetDfa:
         self._start: Optional[int] = None
         self.initial_product: Callable[[], int] = _no_guard_product
         self.advance: Callable[[int, int], int] = _same_guard_product
-        self._lock = threading.Lock() if shared else None
 
     # -- the lazy DFA --
 
@@ -270,23 +267,31 @@ class SubsetDfa:
         return self._start
 
     def step(self, d: int, symbol: str | int) -> int:
-        a = symbol if isinstance(symbol, int) else self.automaton.alphabet.index(symbol)
-        i = d * self._width + a
-        nxt = self._delta[i]
-        if nxt is None:
-            subset, p = self.configs[d]
-            targets = set()
-            for q in subset:
-                for dst, g in self.edges[q].get(a, ()):
-                    if g is None or self.admits(p, g):
-                        targets.add(dst)
-            if targets:
-                p = self.advance(p, a)
-                closed = self.closure(targets, p) if self._has_eps else frozenset(targets)
-                nxt = self._state(closed, p)
-            else:
-                nxt = self._state(frozenset(), None)
-            self._delta[i] = nxt
+        if isinstance(symbol, int):
+            if not 0 <= symbol < self._width:  # would index another state's row
+                raise InputError(f"symbol index {symbol} out of range for {self._width} symbols")
+            a = symbol
+        else:
+            a = self.automaton.alphabet.index(symbol)
+        nxt = self._delta[d * self._width + a]
+        return self._fill(d, a) if nxt is None else nxt
+
+    def _fill(self, d: int, a: int) -> int:
+        """Compute the step of ``d`` on symbol index ``a`` and enter it in
+        the table. The loops below, whose symbols are in range, call it."""
+        subset, p = self.configs[d]
+        targets = set()
+        for q in subset:
+            for dst, g in self.edges[q].get(a, ()):
+                if g is None or self.admits(p, g):
+                    targets.add(dst)
+        if targets:
+            p = self.advance(p, a)
+            closed = self.closure(targets, p) if self._has_eps else frozenset(targets)
+            nxt = self._state(closed, p)
+        else:
+            nxt = self._state(frozenset(), None)
+        self._delta[d * self._width + a] = nxt
         return nxt
 
     def accepting(self, d: int) -> bool:
@@ -303,32 +308,21 @@ class SubsetDfa:
             # Name the unknown symbol only when the walk reaches it, so a
             # cap error from an earlier step is still reported first.
             symbols = map(alphabet.index, word)
-        delta, width, step = self._delta, self._width, self.step
+        delta, width, fill = self._delta, self._width, self._fill
         for a in symbols:
             nxt = delta[d * width + a]
-            d = step(d, a) if nxt is None else nxt
+            d = fill(d, a) if nxt is None else nxt
         return self.accepting(d)
 
     def _state(self, subset: frozenset[int], p: Optional[int]) -> int:
         key = (subset, p)
         d = self._config_ids.get(key)
         if d is None:
-            lock = self._lock
-            if lock is not None:  # shared: look again under the lock
-                lock.acquire()
-                d = self._config_ids.get(key)
-            try:
-                if d is None:
-                    # The pair and its table row are listed before its id is
-                    # published, so every id read from the dict indexes both.
-                    # The table grows in place: ``accepts`` holds it.
-                    d = len(self.configs)
-                    self._delta += self._unfilled if subset else [d] * self._width
-                    self.configs.append(key)
-                    self._config_ids[key] = d
-            finally:
-                if lock is not None:
-                    lock.release()
+            # The table grows in place: ``accepts`` holds it.
+            d = len(self.configs)
+            self._delta += self._unfilled if subset else [d] * self._width
+            self.configs.append(key)
+            self._config_ids[key] = d
         return d
 
     def closure(self, seen: set[int], p: int) -> frozenset[int]:
@@ -350,14 +344,14 @@ class SubsetDfa:
         more than ``max_states`` states raises (the start state is never
         refused).
         """
-        step = self.step
+        fill = self._fill
         configs = self.configs
         symbols = range(self._width)
         cap = max(max_states, 1)
         transitions: list[tuple[int, Optional[int], int]] = []
         d = self.initial()
         while d < len(configs):
-            transitions += [(d, a, step(d, a)) for a in symbols]
+            transitions += [(d, a, fill(d, a)) for a in symbols]
             if len(configs) > cap:
                 raise ResourceLimitError(f"determinization exceeded the state cap of {max_states}", max_states)
             d += 1

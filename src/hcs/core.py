@@ -164,17 +164,18 @@ class GuardProduct:
 
     The product depends on the guards and the cap alone, never on the
     system they guard, so ``guard_product`` shares one product between
-    every semantics over the same regular guard objects. A product that
-    threads may share (such a product, or one of a semantics that
-    ``member`` caches) interns new tuples, and adds their table rows, under
-    a lock, and so do its lazy trackers (of nondeterministic regular and
-    of nested guards); its memo entries are read and written without one,
-    since each is a pure function of its key.
+    every semantics over the same deterministic regular guard objects. A
+    ``shared`` product interns new tuples, and adds their table rows, under
+    a lock; its memo entries are read and written without one, since each
+    is a pure function of its key, and its trackers are tables that never
+    change. Any other product, with a lazy tracker (of a nondeterministic
+    regular or a nested guard) or not, is single-threaded, as ``SubsetDfa``
+    is.
     """
 
     def __init__(self, alphabet: Alphabet, guards: tuple, max_states: int, shared: bool = False):
         self.guards = guards
-        self.trackers = [_tracker(guard, max_states, shared) for guard in guards]
+        self.trackers = [_tracker(guard, max_states) for guard in guards]
         self.products: list[tuple] = []
         self._product_ids: dict[tuple, int] = {}
         # Flat memo tables, one row per product, None until asked for:
@@ -227,23 +228,24 @@ class GuardProduct:
         return ok
 
 
-def _tracker(guard: Guard, max_states: int, shared: bool = False):
+def _tracker(guard: Guard, max_states: int):
     kind = guard_kind(guard)
     if kind == REGULAR:
-        return _RegularTracker(guard) if guard.deterministic else SubsetDfa(guard, shared=shared)
+        return _RegularTracker(guard) if guard.deterministic else SubsetDfa(guard)
     if kind == VASS:
         return _VassTracker(guard, max_states)
-    return HcsSemantics(guard, max_states, shared)
+    return HcsSemantics(guard, max_states)
 
 
-# Two caches of compiled values: guard products of regular guard tuples,
-# keyed by (guard ids in name order, cap), and the semantics ``member``
-# walks, keyed by (system id, cap). An entry holds the objects of its key
-# alive, so no id in a live key is reused. A key is admitted only on its
-# second sighting, so that one-shot values (fresh intersection gadgets) do
-# not flush the entries that repeat; each cache remembers its recent first
-# sightings. Each keeps at most ``_SHARED_CAPACITY`` entries, least
-# recently used out first.
+# Two caches of compiled values: guard products of deterministic regular
+# guard tuples, keyed by (guard ids in name order, cap), and the semantics
+# ``member`` walks with the lock that serialises those walks, keyed by
+# (system id, cap). These are the only values threads share. An entry
+# holds the objects of its key alive, so no id in a live key is reused. A
+# key is admitted only on its second sighting, so that one-shot values
+# (fresh intersection gadgets) do not flush the entries that repeat; each
+# cache remembers its recent first sightings. Each keeps at most
+# ``_SHARED_CAPACITY`` entries, least recently used out first.
 _SHARED_CAPACITY = 16
 _SEEN_CAPACITY = 64
 #: A cached semantics whose lazy DFA holds more states than this after a
@@ -298,19 +300,19 @@ _shared_products = _AdmittingCache()
 _shared_semantics = _AdmittingCache()
 
 
-def guard_product(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP, shared: bool = False) -> GuardProduct:
+def guard_product(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> GuardProduct:
     """The product of the guards of ``hcs`` in name order: shared when there
-    are guards, every one is regular and the tuple has been seen before;
-    private otherwise (VASS and nested guards always get a private product).
-    The guards fix the alphabet, so the key need not hold it. With
-    ``shared``, a private product too is one that threads may step
-    together, as a shared ``HcsSemantics`` needs."""
+    are guards, every one is a deterministic regular automaton and the
+    tuple has been seen before; private otherwise. A private product is
+    owned by the one semantics that asked for it, so the runtimes of a lazy
+    guard tracker depend on that semantics' own steps alone. The guards fix
+    the alphabet, so the key need not hold it."""
     guards = tuple([hcs.guards[name] for name in hcs.guard_names()])
-    if not guards or not all(isinstance(guard, FiniteAutomaton) for guard in guards):
-        return GuardProduct(hcs.alphabet, guards, max_states, shared)
+    if not guards or not all(isinstance(guard, FiniteAutomaton) and guard.deterministic for guard in guards):
+        return GuardProduct(hcs.alphabet, guards, max_states)
     return _shared_products.get(
         (tuple(map(id, guards)), max_states),
-        lambda admit: GuardProduct(hcs.alphabet, guards, max_states, admit or shared),
+        lambda admit: GuardProduct(hcs.alphabet, guards, max_states, admit),
     )
 
 
@@ -330,17 +332,16 @@ class HcsSemantics(SubsetDfa):
     call the product directly; ``trackers`` and ``products`` are the
     product's. An ``HcsSemantics`` is itself a guard tracker
     (``initial``/``step``/``accepting``) for a nested guard, private to
-    the semantics whose product holds it. A ``shared`` semantics, which
-    threads walk together as ``member`` caches them, interns its states
-    under a lock and has a product that threads may step together too.
+    the semantics whose product holds it. Like ``SubsetDfa``, a semantics
+    is single-threaded; ``member`` walks a cached one under its entry's lock.
     """
 
-    def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP, shared: bool = False):
+    def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
         self.hcs = hcs
         self.names = hcs.guard_names()
         index_of = {name: i for i, name in enumerate(self.names)}
-        super().__init__(hcs.underlying, {t: index_of[name] for t, name in hcs.guarded.items()}, shared)
-        product = guard_product(hcs, max_states, shared)
+        super().__init__(hcs.underlying, {t: index_of[name] for t, name in hcs.guarded.items()})
+        product = guard_product(hcs, max_states)
         self.trackers, self.products = product.trackers, product.products
         self.initial_product, self.advance, self.admits = product.initial, product.advance, product.admits
 
@@ -350,16 +351,19 @@ def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -
 
     The word walks the system's semantics for this cap, cached across calls
     (see ``_shared_semantics``), so steps that earlier words filled are
-    read from its table. A semantics whose lazy DFA outgrows
-    ``_SHARED_DFA_STATES`` is dropped after the call.
+    read from its table. Walks of one entry take turns under its lock. A
+    semantics whose lazy DFA outgrows ``_SHARED_DFA_STATES`` is dropped
+    after the call.
     """
     key = (id(hcs), max_states)
-    semantics = _shared_semantics.get(key, lambda shared: HcsSemantics(hcs, max_states, shared))
-    try:
-        return semantics.accepts(word)
-    finally:
-        if len(semantics.configs) > _SHARED_DFA_STATES:
-            _shared_semantics.drop(key, semantics)
+    entry = _shared_semantics.get(key, lambda admit: (HcsSemantics(hcs, max_states), threading.Lock()))
+    semantics, lock = entry
+    with lock:
+        try:
+            return semantics.accepts(word)
+        finally:
+            if len(semantics.configs) > _SHARED_DFA_STATES:
+                _shared_semantics.drop(key, entry)
 
 
 def is_empty(hcs: Hcs, max_configs: int = DEFAULT_STATE_CAP) -> bool:

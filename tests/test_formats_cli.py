@@ -726,6 +726,7 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
+            cwd=Path(cli.__file__).parents[1],  # run the package under test, PYTHONPATH or not
         )
         assert result.returncode == 0
         assert json.loads(result.stdout) == {"accepted": True}

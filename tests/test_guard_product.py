@@ -4,11 +4,14 @@ caches.
 A regular guard tuple seen a second time gets one ``GuardProduct`` that
 every later semantics over the same guard objects and cap reuses, and a
 system that ``member`` sees a second time at one cap gets one
-``HcsSemantics`` that later calls walk. Outputs must not depend on whether
-the caches are cold or warm, on which thread interns a tuple or state
-first, or on ``id`` values of objects that have died. Tests that need cold
-caches empty them with ``_clear_guard_products`` themselves; nothing empties
-them between tests, so a sharing bug shows wherever it bites.
+``HcsSemantics`` that later calls walk, one call at a time. A tuple with a
+nondeterministic or nested guard is never shared: its lazy trackers are
+private to one semantics. Outputs must not depend on whether the caches are
+cold or warm, on which thread interns a tuple or state first, on what other
+systems stepped the same guard objects, or on ``id`` values of objects that
+have died. Tests that need cold caches empty them with
+``_clear_guard_products`` themselves; nothing empties them between tests,
+so a sharing bug shows wherever it bites.
 """
 
 import gc
@@ -24,12 +27,13 @@ import weakref
 import pytest
 
 from hcs import core, formats
-from hcs.automata import Alphabet, FiniteAutomaton
+from hcs.automata import Alphabet, FiniteAutomaton, determinize
 from hcs.core import Hcs, HcsSemantics, _clear_guard_products, determinize_hcs, guard_product, is_empty, member
 from hcs.errors import HcsError, InputError, ResourceLimitError
 from hcs.games import (
     CountdownGame,
     HcsGame,
+    Objective,
     arena_size_bounds,
     build_arena,
     countdown_to_hcs_game,
@@ -74,9 +78,8 @@ def test_second_sighting_admits_and_only_regular_tuples_are_shared():
     reduced = countdown_to_hcs_game(CountdownGame(("A",), 0, 4, ((0, 2, 0),)))
     _clear_guard_products()
     first = guard_product(reduced.hcs)
-    assert first._lock is None
     shared = guard_product(reduced.hcs)
-    assert shared is not first and shared._lock is not None
+    assert shared is not first
     assert guard_product(game_non_blocking(reduced).hcs) is shared
     assert HcsSemantics(reduced.hcs).products is shared.products
     # Another cap is another product.
@@ -84,6 +87,8 @@ def test_second_sighting_admits_and_only_regular_tuples_are_shared():
     loop = FiniteAutomaton(AB, ("q",), 0, frozenset({0}), ((0, 0, 0),))
     outer = Hcs(AB, loop, {"n": Hcs(AB, loop, {}, {})}, {0: "n"})
     assert guard_product(outer) is not guard_product(outer)
+    nondeterministic = checked_by(nth_from_last_guard(3))
+    assert guard_product(nondeterministic) is not guard_product(nondeterministic)
 
 
 def _on_four_threads(compute):
@@ -134,7 +139,7 @@ def test_threads_intern_into_one_shared_product():
 
 
 def test_the_cap_is_part_of_the_key():
-    hcs = checked_by(nth_from_last_guard(3))
+    hcs = checked_by(determinize(nth_from_last_guard(3)))
     n = len(determinize_hcs(hcs).states)  # the outer DFA needs n states
     _clear_guard_products()
     product = _admit(hcs, n)
@@ -150,23 +155,21 @@ def test_threads_step_one_shared_nondeterministic_guard():
     hcs = checked_by(nth_from_last_guard(4))
     rng = random.Random(2626)
     words = [[rng.choice("ab") for _ in range(rng.randint(0, 12))] for _ in range(60)]
-    _clear_guard_products()
-    serial = [HcsSemantics(hcs).accepts(word) for word in words]
-    document = formats.to_document(determinize_hcs(hcs))
+    walked = HcsSemantics(hcs)
+    serial = [walked.accepts(word) for word in words]
     for _ in range(3):
         _clear_guard_products()
-        product = _admit(hcs)
-        (tracker,) = product.trackers
-        assert tracker._lock is not None and not tracker.configs
-        tracker.configs = _YieldingList()  # a lost race is lost every round
-
-        def walk():
-            return [HcsSemantics(hcs).accepts(word) for word in words], formats.to_document(determinize_hcs(hcs))
-
-        for verdicts, got in _on_four_threads(walk):
-            assert verdicts == serial and got == document
+        member(hcs, [])
+        member(hcs, [])
+        semantics = _cached(hcs)  # its guard's tracker is shared through it
+        (tracker,) = semantics.trackers
+        assert len(tracker.configs) == 1
+        tracker.configs = _YieldingList(tracker.configs)  # a lost race is lost every round
+        for verdicts in _on_four_threads(lambda: [member(hcs, word) for word in words]):
+            assert verdicts == serial
+        assert _cached(hcs) is semantics
         configs, ids = tracker.configs, tracker._config_ids
-        assert len(configs) == len(ids) == len(set(configs)) == 2**4
+        assert len(configs) == len(ids) == len(set(configs)) == len(walked.trackers[0].configs)
         assert all(ids[c] == d for d, c in enumerate(configs))
         assert len(tracker._delta) == len(configs) * tracker._width
 
@@ -239,6 +242,32 @@ def test_one_tracker_per_guard_per_entry(monkeypatch):
         assert len(built) <= 2 * (k + 1)
 
 
+# "Ends in a", nondeterministically: s loops on a and b, s -a-> A and
+# s -b-> B, and A accepts.
+_ENDS_IN_A = FiniteAutomaton(AB, ("s", "A", "B"), 0, frozenset({1}), ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 2)))
+
+
+def _game(transitions):
+    """A reach game over {a, b} with states q and r whose third transition
+    is guarded by ``_ENDS_IN_A``: every game made here holds that one
+    guard object."""
+    underlying = FiniteAutomaton(AB, ("q", "r"), 0, frozenset(), transitions)
+    return HcsGame(Hcs(AB, underlying, {"g": _ENDS_IN_A}, {2: "g"}), (0, 0), Objective("reach", frozenset({1})))
+
+
+def test_an_arena_does_not_depend_on_other_systems_over_its_guard():
+    # The first game reads a before b; the second reads b first, so it
+    # reaches the guard's subsets in the other order.
+    first = _game(((0, 0, 0), (0, 1, 0), (0, 0, 1)))
+    second = _game(((0, 1, 1), (1, 0, 1), (1, 1, 1)))
+    _clear_guard_products()
+    arena = build_arena(first)
+    build_arena(second)
+    build_arena(second)
+    assert build_arena(first) == arena
+    assert arena.vertices[1:3] == ((0, (1,)), (0, (2,)))
+
+
 def test_cold_and_warm_caches_give_identical_arenas():
     rng = random.Random(2026)
     games = [countdown_to_hcs_game(random_countdown(rng, rng.choice((1, 2, 4, 8, 16)))) for _ in range(200)]
@@ -282,7 +311,9 @@ def test_cold_and_warm_caches_agree_on_shipped_models():
 
 
 def _cached(hcs, max_states=core.DEFAULT_STATE_CAP):
-    return core._shared_semantics.entries.get((id(hcs), max_states))
+    """The semantics of the cached entry, or None."""
+    entry = core._shared_semantics.entries.get((id(hcs), max_states))
+    return None if entry is None else entry[0]
 
 
 def _loop_hcs():
@@ -298,7 +329,7 @@ def test_member_admits_a_system_on_its_second_sighting():
     assert _cached(hcs) is None
     member(hcs, ["a", "b"])
     semantics = _cached(hcs)
-    assert semantics._lock is not None and semantics.hcs is hcs
+    assert semantics.hcs is hcs
     member(hcs, ["b"])
     assert _cached(hcs) is semantics
     # At most 16 entries, the least recently used out first.
@@ -365,7 +396,7 @@ def _assert_interned_once(semantics):
 class _YieldingList(list):
     """A list whose ``append`` lets other threads run first. A state is
     appended between the look-up that missed it and the publication of its
-    id, so a race that interning without the lock would lose is lost in
+    id, so a race that walks outside the entry's lock would lose is lost in
     every round, not once in many."""
 
     def append(self, item):

@@ -18,8 +18,8 @@ from hcs import formats
 from hcs.automata import FiniteAutomaton
 from hcs.bench import prime_family
 from hcs.core import Hcs, HcsSemantics, build_intersection_nfa, determinize_hcs, guard_kind, is_empty, member
-from hcs.errors import ResourceLimitError
-from hcs.models import AB, guard_alternating, guard_contains_aa, guard_length_multiple_of_three
+from hcs.errors import InputError, ResourceLimitError
+from hcs.models import AB, branching_nonempty_hcs, guard_alternating, guard_contains_aa, guard_length_multiple_of_three
 from hcs.vass import COVER, REACH, Vass, eps_closure_configs, vass_accepts
 from hcs.vassguards import TwoCounterMachine, bounded_reach_empty, two_cm_to_hcs
 
@@ -99,6 +99,18 @@ def test_dead_state_is_shared_and_absorbing():
     assert semantics.step(semantics.step(start, "a"), "a") == dead
     assert semantics.step(dead, "a") == semantics.step(dead, "b") == dead
     assert not semantics.accepting(dead)
+
+
+def test_a_symbol_index_out_of_range_is_refused_and_leaves_the_table_intact():
+    semantics, fresh = HcsSemantics(branching_nonempty_hcs()), HcsSemantics(branching_nonempty_hcs())
+    for walked in (semantics, fresh):
+        walked.step(walked.initial(), "a")
+    for d in (0, 1):
+        for bad in (2, -1):  # the entries of the next and the previous state
+            with pytest.raises(InputError, match=rf"^symbol index {bad} out of range for 2 symbols$"):
+                semantics.step(d, bad)
+    assert semantics.configs[semantics.step(1, "a")] == fresh.configs[fresh.step(1, "a")] == (frozenset({3}), 2)
+    assert semantics.configs == fresh.configs and semantics._delta == fresh._delta
 
 
 def two_counter_models():
