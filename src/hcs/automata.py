@@ -231,8 +231,8 @@ class SubsetDfa:
     tracker) leaves it unset.
 
     The start state is computed once. An instance is single-threaded: it
-    interns states without a lock, so threads that share one must take
-    turns (as ``core.member`` does for the semantics it caches).
+    interns states without a lock, so it must stay with one thread (as
+    ``core`` keeps the semantics it caches to the thread that made them).
     """
 
     def __init__(self, automaton: FiniteAutomaton, guard_at: Optional[dict[int, int]] = None):
@@ -273,8 +273,15 @@ class SubsetDfa:
             a = symbol
         else:
             a = self.automaton.alphabet.index(symbol)
-        nxt = self._delta[d * self._width + a]
+        nxt = self._delta[self._checked(d) * self._width + a]
         return self._fill(d, a) if nxt is None else nxt
+
+    def _checked(self, d: int) -> int:
+        """``d`` if it is a state id, else ``InputError``. The loops below,
+        whose states are interned, skip it."""
+        if not 0 <= d < len(self.configs):  # would read another state
+            raise InputError(f"state {d} out of range for {len(self.configs)} states")
+        return d
 
     def _fill(self, d: int, a: int) -> int:
         """Compute the step of ``d`` on symbol index ``a`` and enter it in
@@ -295,7 +302,7 @@ class SubsetDfa:
         return nxt
 
     def accepting(self, d: int) -> bool:
-        return not self.automaton.accepting.isdisjoint(self.configs[d][0])
+        return not self.automaton.accepting.isdisjoint(self.configs[self._checked(d)][0])
 
     def accepts(self, word: Sequence[str]) -> bool:
         """Walk the lazy DFA along ``word``, given by symbol names, reading
@@ -312,7 +319,7 @@ class SubsetDfa:
         for a in symbols:
             nxt = delta[d * width + a]
             d = fill(d, a) if nxt is None else nxt
-        return self.accepting(d)
+        return not self.automaton.accepting.isdisjoint(self.configs[d][0])
 
     def _state(self, subset: frozenset[int], p: Optional[int]) -> int:
         key = (subset, p)
@@ -360,7 +367,7 @@ class SubsetDfa:
             self.automaton.alphabet,
             tuple(map(name, range(len(configs)))),
             0,
-            frozenset(d for d in range(len(configs)) if self.accepting(d)),
+            frozenset(d for d, (subset, _) in enumerate(configs) if not self.automaton.accepting.isdisjoint(subset)),
             tuple(transitions),
             True,
         )

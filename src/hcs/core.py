@@ -163,17 +163,13 @@ class GuardProduct:
     as callers reach them.
 
     The product depends on the guards and the cap alone, never on the
-    system they guard, so ``guard_product`` shares one product between
-    every semantics over the same deterministic regular guard objects. A
-    ``shared`` product interns new tuples, and adds their table rows, under
-    a lock; its memo entries are read and written without one, since each
-    is a pure function of its key, and its trackers are tables that never
-    change. Any other product, with a lazy tracker (of a nondeterministic
-    regular or a nested guard) or not, is single-threaded, as ``SubsetDfa``
-    is.
+    system they guard, so ``guard_product`` lets one thread's semantics
+    over the same deterministic regular guard objects reuse one product.
+    Like ``SubsetDfa``, a product is single-threaded: it interns without a
+    lock, and the caches keep it to the thread that made it.
     """
 
-    def __init__(self, alphabet: Alphabet, guards: tuple, max_states: int, shared: bool = False):
+    def __init__(self, alphabet: Alphabet, guards: tuple, max_states: int):
         self.guards = guards
         self.trackers = [_tracker(guard, max_states) for guard in guards]
         self.products: list[tuple] = []
@@ -184,7 +180,6 @@ class GuardProduct:
         self._steps: list[Optional[int]] = []
         self._accepts: list[Optional[bool]] = []
         self._unfilled = ([None] * self._width, [None] * len(guards))
-        self._lock = threading.Lock() if shared else None
 
     def initial(self) -> int:
         return self.product_id(tuple(tr.initial() for tr in self.trackers))
@@ -193,21 +188,10 @@ class GuardProduct:
         """Intern a tuple of guard runtimes; equal tuples share one id."""
         p = self._product_ids.get(guard_states)
         if p is None:
-            if self._lock is None:
-                return self._intern(guard_states)
-            with self._lock:
-                p = self._product_ids.get(guard_states)
-                if p is None:
-                    p = self._intern(guard_states)
-        return p
-
-    def _intern(self, guard_states: tuple) -> int:
-        # The tuple and its table rows are listed before its id is
-        # published, so every id read from the dict indexes all three.
-        self._steps += self._unfilled[0]
-        self._accepts += self._unfilled[1]
-        self.products.append(guard_states)
-        p = self._product_ids[guard_states] = len(self.products) - 1
+            self._steps += self._unfilled[0]
+            self._accepts += self._unfilled[1]
+            self.products.append(guard_states)
+            p = self._product_ids[guard_states] = len(self.products) - 1
         return p
 
     def advance(self, p: int, a: int) -> int:
@@ -237,21 +221,21 @@ def _tracker(guard: Guard, max_states: int):
     return HcsSemantics(guard, max_states)
 
 
-# Two caches of compiled values: guard products of deterministic regular
-# guard tuples, keyed by (guard ids in name order, cap), and the semantics
-# ``member`` walks with the lock that serialises those walks, keyed by
-# (system id, cap). These are the only values threads share. An entry
-# holds the objects of its key alive, so no id in a live key is reused. A
-# key is admitted only on its second sighting, so that one-shot values
-# (fresh intersection gadgets) do not flush the entries that repeat; each
-# cache remembers its recent first sightings. Each keeps at most
-# ``_SHARED_CAPACITY`` entries, least recently used out first.
+# Two caches of compiled values, each thread its own pair (``_caches``):
+# guard products of deterministic regular guard tuples, keyed by (guard
+# ids in name order, cap), and the semantics ``member`` walks, keyed by
+# (system id, cap). No compiled value reaches a second thread, so none
+# takes a lock. An entry holds the objects of its key alive, so no id in a
+# live key is reused. A key is admitted only on its second sighting, so
+# that one-shot values (fresh intersection gadgets) do not flush the
+# entries that repeat; each cache remembers its recent first sightings.
+# Each keeps at most ``_SHARED_CAPACITY`` entries, least recently used out
+# first.
 _SHARED_CAPACITY = 16
 _SEEN_CAPACITY = 64
 #: A cached semantics whose lazy DFA holds more states than this after a
 #: call is dropped: a VASS guard's lazy DFA has no bound of its own.
 _SHARED_DFA_STATES = 4096
-_shared_lock = threading.Lock()
 
 
 class _AdmittingCache:
@@ -261,66 +245,70 @@ class _AdmittingCache:
         self.entries: OrderedDict[tuple, object] = OrderedDict()
         self.seen: OrderedDict[tuple, None] = OrderedDict()
 
-    def get(self, key: tuple, make: Callable[[bool], object]):
-        """The entry under ``key``, or else ``make(admit)``: on the key's
-        second sighting ``admit`` is true and the value made is cached."""
-        with _shared_lock:
-            value = self.entries.get(key)
-            if value is not None:
-                self.entries.move_to_end(key)
-                return value
-            admit = key in self.seen
-            if admit:
-                del self.seen[key]
-            else:
-                self.seen[key] = None
-                if len(self.seen) > _SEEN_CAPACITY:
-                    self.seen.popitem(last=False)
-        value = make(admit)
+    def get(self, key: tuple, make: Callable[[], object]):
+        """The entry under ``key``, or else ``make()``: on the key's second
+        sighting the value made is cached."""
+        value = self.entries.get(key)
+        if value is not None:
+            self.entries.move_to_end(key)
+            return value
+        admit = key in self.seen
         if admit:
-            with _shared_lock:
-                value = self.entries.setdefault(key, value)
-                if len(self.entries) > _SHARED_CAPACITY:
-                    self.entries.popitem(last=False)
+            del self.seen[key]
+        else:
+            self.seen[key] = None
+            if len(self.seen) > _SEEN_CAPACITY:
+                self.seen.popitem(last=False)
+        value = make()
+        if admit:
+            self.entries[key] = value
+            if len(self.entries) > _SHARED_CAPACITY:
+                self.entries.popitem(last=False)
         return value
 
     def drop(self, key: tuple, value) -> None:
         """Forget ``value`` if it is still the entry under ``key``."""
-        with _shared_lock:
-            if self.entries.get(key) is value:
-                del self.entries[key]
+        if self.entries.get(key) is value:
+            del self.entries[key]
 
     def clear(self) -> None:
-        with _shared_lock:
-            self.entries.clear()
-            self.seen.clear()
+        self.entries.clear()
+        self.seen.clear()
 
 
-_shared_products = _AdmittingCache()
-_shared_semantics = _AdmittingCache()
+class _Caches(threading.local):
+    """The calling thread's two caches."""
+
+    def __init__(self):
+        self.products = _AdmittingCache()
+        self.semantics = _AdmittingCache()
+
+
+_caches = _Caches()
 
 
 def guard_product(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> GuardProduct:
-    """The product of the guards of ``hcs`` in name order: shared when there
-    are guards, every one is a deterministic regular automaton and the
-    tuple has been seen before; private otherwise. A private product is
-    owned by the one semantics that asked for it, so the runtimes of a lazy
-    guard tracker depend on that semantics' own steps alone. The guards fix
-    the alphabet, so the key need not hold it."""
+    """The product of the guards of ``hcs`` in name order: cached for the
+    calling thread when there are guards, every one is a deterministic
+    regular automaton and the tuple has been seen before; private
+    otherwise. A private product is owned by the one semantics that asked
+    for it, so the runtimes of a lazy guard tracker depend on that
+    semantics' own steps alone. The guards fix the alphabet, so the key
+    need not hold it."""
     guards = tuple([hcs.guards[name] for name in hcs.guard_names()])
     if not guards or not all(isinstance(guard, FiniteAutomaton) and guard.deterministic for guard in guards):
         return GuardProduct(hcs.alphabet, guards, max_states)
-    return _shared_products.get(
+    return _caches.products.get(
         (tuple(map(id, guards)), max_states),
-        lambda admit: GuardProduct(hcs.alphabet, guards, max_states, admit),
+        lambda: GuardProduct(hcs.alphabet, guards, max_states),
     )
 
 
 def _clear_guard_products() -> None:
-    """Forget every shared guard product and semantics, and every first
-    sighting (a cold cache)."""
-    _shared_products.clear()
-    _shared_semantics.clear()
+    """Forget the calling thread's cached guard products and semantics, and
+    its first sightings (a cold cache)."""
+    _caches.products.clear()
+    _caches.semantics.clear()
 
 
 class HcsSemantics(SubsetDfa):
@@ -333,7 +321,7 @@ class HcsSemantics(SubsetDfa):
     product's. An ``HcsSemantics`` is itself a guard tracker
     (``initial``/``step``/``accepting``) for a nested guard, private to
     the semantics whose product holds it. Like ``SubsetDfa``, a semantics
-    is single-threaded; ``member`` walks a cached one under its entry's lock.
+    is single-threaded; ``member`` caches one per thread.
     """
 
     def __init__(self, hcs: Hcs, max_states: int = DEFAULT_STATE_CAP):
@@ -349,21 +337,18 @@ class HcsSemantics(SubsetDfa):
 def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -> bool:
     """Decide whether ``word`` has an accepting run consistent with all guards.
 
-    The word walks the system's semantics for this cap, cached across calls
-    (see ``_shared_semantics``), so steps that earlier words filled are
-    read from its table. Walks of one entry take turns under its lock. A
-    semantics whose lazy DFA outgrows ``_SHARED_DFA_STATES`` is dropped
-    after the call.
+    The word walks the system's semantics for this cap, cached across the
+    calling thread's calls (see ``_caches``), so steps that earlier words
+    filled are read from its table. A semantics whose lazy DFA outgrows
+    ``_SHARED_DFA_STATES`` is dropped after the call.
     """
     key = (id(hcs), max_states)
-    entry = _shared_semantics.get(key, lambda admit: (HcsSemantics(hcs, max_states), threading.Lock()))
-    semantics, lock = entry
-    with lock:
-        try:
-            return semantics.accepts(word)
-        finally:
-            if len(semantics.configs) > _SHARED_DFA_STATES:
-                _shared_semantics.drop(key, entry)
+    semantics = _caches.semantics.get(key, lambda: HcsSemantics(hcs, max_states))
+    try:
+        return semantics.accepts(word)
+    finally:
+        if len(semantics.configs) > _SHARED_DFA_STATES:
+            _caches.semantics.drop(key, semantics)
 
 
 def is_empty(hcs: Hcs, max_configs: int = DEFAULT_STATE_CAP) -> bool:

@@ -1,17 +1,17 @@
-"""Guard products and semantics shared between calls through the module
-caches.
+"""Guard products and semantics reused between calls through the module
+caches, which each thread keeps for itself.
 
-A regular guard tuple seen a second time gets one ``GuardProduct`` that
-every later semantics over the same guard objects and cap reuses, and a
-system that ``member`` sees a second time at one cap gets one
-``HcsSemantics`` that later calls walk, one call at a time. A tuple with a
-nondeterministic or nested guard is never shared: its lazy trackers are
-private to one semantics. Outputs must not depend on whether the caches are
-cold or warm, on which thread interns a tuple or state first, on what other
-systems stepped the same guard objects, or on ``id`` values of objects that
-have died. Tests that need cold caches empty them with
-``_clear_guard_products`` themselves; nothing empties them between tests,
-so a sharing bug shows wherever it bites.
+A regular guard tuple that one thread sees a second time gets one
+``GuardProduct`` that the thread's later semantics over the same guard
+objects and cap reuse, and a system that ``member`` sees a second time at
+one cap gets one ``HcsSemantics`` that the thread's later calls walk. A
+tuple with a nondeterministic or nested guard is never cached: its lazy
+trackers are private to one semantics. No cached value reaches another
+thread. Outputs must not depend on whether the caches are cold or warm, on
+which thread asks, on what other systems stepped the same guard objects,
+or on ``id`` values of objects that have died. Tests that need cold caches
+empty them with ``_clear_guard_products`` themselves; nothing empties them
+between tests, so a caching bug shows wherever it bites.
 """
 
 import gc
@@ -19,9 +19,7 @@ import heapq
 import json
 import os
 import random
-import sys
 import threading
-import time
 import weakref
 
 import pytest
@@ -54,7 +52,7 @@ MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 
 def _admit(hcs, max_states=core.DEFAULT_STATE_CAP):
-    """Sight the guard tuple twice, so that it has a shared product."""
+    """Sight the guard tuple twice, so that it has a cached product."""
     guard_product(hcs, max_states)
     product = guard_product(hcs, max_states)
     assert product is guard_product(hcs, max_states)
@@ -98,44 +96,42 @@ def _on_four_threads(compute):
 
     def work(i):
         try:
-            start.wait(timeout=60)  # all four intern the same values at once
+            start.wait(timeout=60)
             results[i] = compute()
         except BaseException as err:  # reported below, on the main thread
             errors.append(err)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
     return results
 
 
-def test_threads_intern_into_one_shared_product():
+def test_threads_solve_games_on_their_own_products():
     rng = random.Random(1818)
     games = [countdown_to_hcs_game(random_countdown(rng, 8)) for _ in range(30)]
     _clear_guard_products()
     serial = [solve_hcs_game(game) for game in games]
-    for _ in range(5):  # a lost race shows in some rounds only
-        _clear_guard_products()
-        product = _admit(games[0].hcs)
-        assert not product.products  # the threads intern every tuple
-        for solutions in _on_four_threads(lambda: [solve_hcs_game(game) for game in games]):
-            assert [s.winner_from_initial for s in solutions] == [s.winner_from_initial for s in serial]
-            for got, want in zip(solutions, serial):
-                assert got.arena.vertices == want.arena.vertices
-                assert got.arena.edges == want.arena.edges
-                assert got == want
-        assert guard_product(games[0].hcs) is product
-        assert len(product.products) == len(product._product_ids) == len(set(product.products))
-        assert all(product._product_ids[t] == p for p, t in enumerate(product.products))
+    mine = _admit(games[0].hcs)
+    interned = len(mine.products)
+
+    def solve():
+        return [solve_hcs_game(game) for game in games], _admit(games[0].hcs)
+
+    results = _on_four_threads(solve)
+    for solutions, _ in results:
+        assert [s.winner_from_initial for s in solutions] == [s.winner_from_initial for s in serial]
+        for got, want in zip(solutions, serial):
+            assert got.arena.vertices == want.arena.vertices
+            assert got.arena.edges == want.arena.edges
+            assert got == want
+    # Each thread caches its own product, and none touched this thread's.
+    assert len({id(product) for _, product in results} | {id(mine)}) == 5
+    assert guard_product(games[0].hcs) is mine and len(mine.products) == interned
 
 
 def test_the_cap_is_part_of_the_key():
@@ -149,29 +145,6 @@ def test_the_cap_is_part_of_the_key():
             determinize_hcs(hcs, n - 1)
     assert guard_product(hcs, n - 1) is not product
     assert guard_product(hcs, n) is product
-
-
-def test_threads_step_one_shared_nondeterministic_guard():
-    hcs = checked_by(nth_from_last_guard(4))
-    rng = random.Random(2626)
-    words = [[rng.choice("ab") for _ in range(rng.randint(0, 12))] for _ in range(60)]
-    walked = HcsSemantics(hcs)
-    serial = [walked.accepts(word) for word in words]
-    for _ in range(3):
-        _clear_guard_products()
-        member(hcs, [])
-        member(hcs, [])
-        semantics = _cached(hcs)  # its guard's tracker is shared through it
-        (tracker,) = semantics.trackers
-        assert len(tracker.configs) == 1
-        tracker.configs = _YieldingList(tracker.configs)  # a lost race is lost every round
-        for verdicts in _on_four_threads(lambda: [member(hcs, word) for word in words]):
-            assert verdicts == serial
-        assert _cached(hcs) is semantics
-        configs, ids = tracker.configs, tracker._config_ids
-        assert len(configs) == len(ids) == len(set(configs)) == len(walked.trackers[0].configs)
-        assert all(ids[c] == d for d, c in enumerate(configs))
-        assert len(tracker._delta) == len(configs) * tracker._width
 
 
 def _verdicts(hcs):
@@ -311,9 +284,8 @@ def test_cold_and_warm_caches_agree_on_shipped_models():
 
 
 def _cached(hcs, max_states=core.DEFAULT_STATE_CAP):
-    """The semantics of the cached entry, or None."""
-    entry = core._shared_semantics.entries.get((id(hcs), max_states))
-    return None if entry is None else entry[0]
+    """The calling thread's cached semantics, or None."""
+    return core._caches.semantics.entries.get((id(hcs), max_states))
 
 
 def _loop_hcs():
@@ -340,7 +312,7 @@ def test_member_admits_a_system_on_its_second_sighting():
     assert _cached(hcs) is None
     assert all(_cached(other) is not None for other in others)
     _clear_guard_products()
-    assert not core._shared_semantics.entries and not core._shared_semantics.seen
+    assert not core._caches.semantics.entries and not core._caches.semantics.seen
 
 
 def _eps_loop_hcs():
@@ -393,50 +365,38 @@ def _assert_interned_once(semantics):
             _assert_interned_once(tracker)
 
 
-class _YieldingList(list):
-    """A list whose ``append`` lets other threads run first. A state is
-    appended between the look-up that missed it and the publication of its
-    id, so a race that walks outside the entry's lock would lose is lost in
-    every round, not once in many."""
-
-    def append(self, item):
-        time.sleep(0)
-        super().append(item)
-
-
-def _yield_on_intern(semantics):
-    semantics.configs = _YieldingList(semantics.configs)
-    for tracker in semantics.trackers:
-        if isinstance(tracker, HcsSemantics):
-            _yield_on_intern(tracker)
-
-
-def test_threads_walk_one_cached_semantics():
+def test_threads_walk_their_own_cached_semantics():
     rng = random.Random(2424)
     systems = [random_depth_two_hcs(rng) for _ in range(4)] + [random_cover_guarded_hcs(rng) for _ in range(4)]
     outer = FiniteAutomaton(AB, ("o0", "o1"), 0, frozenset({1}), ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)))
     systems += [Hcs(AB, outer, {"n": hcs}, {1: "n", 2: "n"}) for hcs in systems[4:6]]
-    # The threads walk the counting system first, in step, so they miss on
-    # the same new states together.
+    systems.append(checked_by(nth_from_last_guard(4)))  # a lazy guard tracker
     counting = _counting_hcs()
-    queries = [(counting, ["a"] * 100 + ["b"] * 100)]
+    queries = [(counting, ["a"] * 100 + ["b"] * 100)] * 2  # cached on the second
     queries += [(hcs, [rng.choice("ab") for _ in range(rng.randint(0, 40))]) for hcs in systems for _ in range(6)]
     systems.append(counting)
     serial = [HcsSemantics(hcs).accepts(word) for hcs, word in queries]
-    for _ in range(3):
-        _clear_guard_products()
-        for hcs in systems:
-            member(hcs, [])
-            member(hcs, [])
-        cached = [_cached(hcs) for hcs in systems]
-        assert all(semantics is not None and len(semantics.configs) == 1 for semantics in cached)
-        for semantics in cached:
-            _yield_on_intern(semantics)
-        for verdicts in _on_four_threads(lambda: [member(hcs, word) for hcs, word in queries]):
-            assert verdicts == serial
-        assert [_cached(hcs) for hcs in systems] == cached
+    _clear_guard_products()
+    for hcs in systems:
+        member(hcs, [])
+        member(hcs, [])
+    mine = [_cached(hcs) for hcs in systems]
+    assert all(semantics is not None and len(semantics.configs) == 1 for semantics in mine)
+
+    def walk():
+        return [member(hcs, word) for hcs, word in queries], [_cached(hcs) for hcs in systems]
+
+    results = _on_four_threads(walk)
+    for verdicts, cached in results:
+        assert verdicts == serial
+        assert all(semantics is not None for semantics in cached)
         for semantics in cached:
             _assert_interned_once(semantics)
+    # Each thread cached its own semantics, and none stepped this thread's.
+    seen = {id(semantics) for _, cached in results for semantics in cached}
+    assert len(seen | {id(semantics) for semantics in mine}) == 5 * len(systems)
+    assert [_cached(hcs) for hcs in systems] == mine
+    assert all(len(semantics.configs) == 1 for semantics in mine)
 
 
 def _bursting_hcs():

@@ -113,6 +113,23 @@ def test_a_symbol_index_out_of_range_is_refused_and_leaves_the_table_intact():
     assert semantics.configs == fresh.configs and semantics._delta == fresh._delta
 
 
+def test_a_state_id_out_of_range_is_refused_and_leaves_the_table_intact():
+    semantics, fresh = HcsSemantics(branching_nonempty_hcs()), HcsSemantics(branching_nonempty_hcs())
+    for walked in (semantics, fresh):
+        walked.step(walked.initial(), "a")
+    n = len(semantics.configs)
+    for bad in (n, 5, -1, -n - 1):  # -1 would read the last state
+        message = rf"^state {bad} out of range for {n} states$"
+        with pytest.raises(InputError, match=message):
+            semantics.step(bad, "a")
+        with pytest.raises(InputError, match=message):
+            semantics.step(bad, 0)
+        with pytest.raises(InputError, match=message):
+            semantics.accepting(bad)
+    assert semantics.configs == fresh.configs and semantics._delta == fresh._delta
+    assert [semantics.accepting(d) for d in range(n)] == [fresh.accepting(d) for d in range(n)]
+
+
 def two_counter_models():
     machines = [
         TwoCounterMachine(("p", "q"), ((0, "inc1", 1), (1, "dec1", 0)), 0, 0),
