@@ -267,7 +267,7 @@ class SubsetDfa:
         return self._start
 
     def step(self, d: int, symbol: str | int) -> int:
-        if isinstance(symbol, int):
+        if type(symbol) is int:  # a bool is a symbol name, and unknown
             if not 0 <= symbol < self._width:  # would index another state's row
                 raise InputError(f"symbol index {symbol} out of range for {self._width} symbols")
             a = symbol
@@ -279,7 +279,7 @@ class SubsetDfa:
     def _checked(self, d: int) -> int:
         """``d`` if it is a state id, else ``InputError``. The loops below,
         whose states are interned, skip it."""
-        if not 0 <= d < len(self.configs):  # would read another state
+        if type(d) is not int or not 0 <= d < len(self.configs):  # would read another state
             raise InputError(f"state {d} out of range for {len(self.configs)} states")
         return d
 

@@ -164,7 +164,8 @@ class GuardProduct:
 
     The product depends on the guards and the cap alone, never on the
     system they guard, so ``guard_product`` lets one thread's semantics
-    over the same deterministic regular guard objects reuse one product.
+    over the same deterministic regular guard objects reuse one product,
+    whatever the cap: their trackers take none.
     Like ``SubsetDfa``, a product is single-threaded: it interns without a
     lock, and the caches keep it to the thread that made it.
     """
@@ -222,48 +223,33 @@ def _tracker(guard: Guard, max_states: int):
 
 
 # Two caches of compiled values, each thread its own pair (``_caches``):
-# guard products of deterministic regular guard tuples, keyed by (guard
-# ids in name order, cap), and the semantics ``member`` walks, keyed by
-# (system id, cap). No compiled value reaches a second thread, so none
-# takes a lock. An entry holds the objects of its key alive, so no id in a
-# live key is reused. A key is admitted only on its second sighting, so
-# that one-shot values (fresh intersection gadgets) do not flush the
-# entries that repeat; each cache remembers its recent first sightings.
-# Each keeps at most ``_SHARED_CAPACITY`` entries, least recently used out
-# first.
+# guard products of deterministic regular guard tuples, keyed by the guard
+# ids in name order, and the semantics ``member`` walks, keyed by (system
+# id, cap). No compiled value reaches a second thread, so none takes a
+# lock. An entry holds the objects of its key alive, so no id in a live
+# key is reused. A value is cached when it is first made; each cache keeps
+# at most ``_SHARED_CAPACITY`` entries, least recently used out first.
 _SHARED_CAPACITY = 16
-_SEEN_CAPACITY = 64
 #: A cached semantics whose lazy DFA holds more states than this after a
 #: call is dropped: a VASS guard's lazy DFA has no bound of its own.
 _SHARED_DFA_STATES = 4096
 
 
-class _AdmittingCache:
-    """One of the caches above: its entries and its first sightings."""
+class _LruCache:
+    """One of the caches above."""
 
     def __init__(self):
         self.entries: OrderedDict[tuple, object] = OrderedDict()
-        self.seen: OrderedDict[tuple, None] = OrderedDict()
 
     def get(self, key: tuple, make: Callable[[], object]):
-        """The entry under ``key``, or else ``make()``: on the key's second
-        sighting the value made is cached."""
+        """The entry under ``key``, or else ``make()``, cached under it."""
         value = self.entries.get(key)
         if value is not None:
             self.entries.move_to_end(key)
             return value
-        admit = key in self.seen
-        if admit:
-            del self.seen[key]
-        else:
-            self.seen[key] = None
-            if len(self.seen) > _SEEN_CAPACITY:
-                self.seen.popitem(last=False)
-        value = make()
-        if admit:
-            self.entries[key] = value
-            if len(self.entries) > _SHARED_CAPACITY:
-                self.entries.popitem(last=False)
+        value = self.entries[key] = make()
+        if len(self.entries) > _SHARED_CAPACITY:
+            self.entries.popitem(last=False)
         return value
 
     def drop(self, key: tuple, value) -> None:
@@ -273,15 +259,14 @@ class _AdmittingCache:
 
     def clear(self) -> None:
         self.entries.clear()
-        self.seen.clear()
 
 
 class _Caches(threading.local):
     """The calling thread's two caches."""
 
     def __init__(self):
-        self.products = _AdmittingCache()
-        self.semantics = _AdmittingCache()
+        self.products = _LruCache()
+        self.semantics = _LruCache()
 
 
 _caches = _Caches()
@@ -289,24 +274,21 @@ _caches = _Caches()
 
 def guard_product(hcs: Hcs, max_states: int = DEFAULT_STATE_CAP) -> GuardProduct:
     """The product of the guards of ``hcs`` in name order: cached for the
-    calling thread when there are guards, every one is a deterministic
-    regular automaton and the tuple has been seen before; private
-    otherwise. A private product is owned by the one semantics that asked
-    for it, so the runtimes of a lazy guard tracker depend on that
-    semantics' own steps alone. The guards fix the alphabet, so the key
-    need not hold it."""
+    calling thread when there are guards and every one is a deterministic
+    regular automaton; private otherwise. A private product is owned by the
+    one semantics that asked for it, so the runtimes of a lazy guard
+    tracker depend on that semantics' own steps alone. The guards fix the
+    alphabet, and the trackers of deterministic regular guards take no cap,
+    so the key holds neither."""
     guards = tuple([hcs.guards[name] for name in hcs.guard_names()])
     if not guards or not all(isinstance(guard, FiniteAutomaton) and guard.deterministic for guard in guards):
         return GuardProduct(hcs.alphabet, guards, max_states)
-    return _caches.products.get(
-        (tuple(map(id, guards)), max_states),
-        lambda: GuardProduct(hcs.alphabet, guards, max_states),
-    )
+    return _caches.products.get(tuple(map(id, guards)), lambda: GuardProduct(hcs.alphabet, guards, max_states))
 
 
 def _clear_guard_products() -> None:
-    """Forget the calling thread's cached guard products and semantics, and
-    its first sightings (a cold cache)."""
+    """Forget the calling thread's cached guard products and semantics (a
+    cold cache)."""
     _caches.products.clear()
     _caches.semantics.clear()
 
@@ -337,10 +319,10 @@ class HcsSemantics(SubsetDfa):
 def member(hcs: Hcs, word: Sequence[str], max_states: int = DEFAULT_STATE_CAP) -> bool:
     """Decide whether ``word`` has an accepting run consistent with all guards.
 
-    The word walks the system's semantics for this cap, cached across the
-    calling thread's calls (see ``_caches``), so steps that earlier words
-    filled are read from its table. A semantics whose lazy DFA outgrows
-    ``_SHARED_DFA_STATES`` is dropped after the call.
+    The word walks the system's semantics for this cap, cached for the
+    calling thread from its first call (see ``_caches``), so steps that
+    earlier words filled are read from its table. A semantics whose lazy
+    DFA outgrows ``_SHARED_DFA_STATES`` is dropped after the call.
     """
     key = (id(hcs), max_states)
     semantics = _caches.semantics.get(key, lambda: HcsSemantics(hcs, max_states))

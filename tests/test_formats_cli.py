@@ -133,18 +133,25 @@ class TestDocuments:
             formats.from_document(doc)
 
     def test_committed_documents_match_builders(self):
+        from hcs import models
         from hcs.bench import cycle_dfa
         from hcs.core import build_intersection_dfa
-        from hcs.models import branching_empty_hcs
 
-        regenerated = formats.dumps(formats.to_document(branching_empty_hcs()))
-        with open(model_path("branching_empty.json")) as handle:
-            assert handle.read() == regenerated
-        regenerated = formats.dumps(
-            formats.to_document(build_intersection_dfa([cycle_dfa(2), cycle_dfa(3)]))
-        )
-        with open(model_path("intersection_c2_c3.json")) as handle:
-            assert handle.read() == regenerated
+        builders = {
+            "branching_empty.json": models.branching_empty_hcs,
+            "branching_nonempty.json": models.branching_nonempty_hcs,
+            "count_balanced_vass.json": models.count_balanced_vass,
+            "four_eyes.json": models.four_eyes_hcs,
+            "traffic_lights.json": models.traffic_lights_hcs,
+            "two_counter_six_state.json": models.six_state_two_counter_machine,
+            "intersection_c2_c3.json": lambda: build_intersection_dfa([cycle_dfa(2), cycle_dfa(3)]),
+        }
+        for name, build in builders.items():
+            document = formats.to_document(build())
+            with open(model_path(name)) as handle:
+                text = handle.read()
+            assert json.loads(text) == document, name
+            assert text == formats.dumps(document), name
 
 
 class TestCliVerdictsMatchLibrary:

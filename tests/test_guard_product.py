@@ -1,17 +1,18 @@
 """Guard products and semantics reused between calls through the module
 caches, which each thread keeps for itself.
 
-A regular guard tuple that one thread sees a second time gets one
-``GuardProduct`` that the thread's later semantics over the same guard
-objects and cap reuse, and a system that ``member`` sees a second time at
-one cap gets one ``HcsSemantics`` that the thread's later calls walk. A
-tuple with a nondeterministic or nested guard is never cached: its lazy
-trackers are private to one semantics. No cached value reaches another
-thread. Outputs must not depend on whether the caches are cold or warm, on
-which thread asks, on what other systems stepped the same guard objects,
-or on ``id`` values of objects that have died. Tests that need cold caches
-empty them with ``_clear_guard_products`` themselves; nothing empties them
-between tests, so a caching bug shows wherever it bites.
+A regular guard tuple gets one ``GuardProduct`` when a thread first uses
+it, which the thread's later semantics over the same guard objects reuse
+at any cap, and a system gets one ``HcsSemantics`` per cap on its first
+``member`` call, which the thread's later calls walk. Each cache keeps the
+16 most recently used entries. A tuple with a nondeterministic or nested
+guard is never cached: its lazy trackers are private to one semantics.
+No cached value reaches another thread. Outputs must not depend on
+whether the caches are cold or warm, on which thread asks, on what other
+systems stepped the same guard objects, or on ``id`` values of objects
+that have died. Tests that need cold caches empty them with
+``_clear_guard_products`` themselves; nothing empties them between tests,
+so a caching bug shows wherever it bites.
 """
 
 import gc
@@ -52,15 +53,12 @@ MODELS = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
 
 def _admit(hcs, max_states=core.DEFAULT_STATE_CAP):
-    """Sight the guard tuple twice, so that it has a cached product."""
-    guard_product(hcs, max_states)
-    product = guard_product(hcs, max_states)
-    assert product is guard_product(hcs, max_states)
-    return product
+    """The guard tuple's product, cached by the first such call."""
+    return guard_product(hcs, max_states)
 
 
 def _cold_then_warm(compute):
-    """``compute()`` on a cold cache, on admission and on a cache hit."""
+    """``compute()`` on a cold cache, then twice on cache hits."""
     _clear_guard_products()
     return [_outcome(compute) for _ in range(3)]
 
@@ -72,16 +70,16 @@ def _outcome(compute):
         return type(err).__name__, str(err)
 
 
-def test_second_sighting_admits_and_only_regular_tuples_are_shared():
+def test_first_use_caches_and_only_regular_tuples_are_shared():
     reduced = countdown_to_hcs_game(CountdownGame(("A",), 0, 4, ((0, 2, 0),)))
     _clear_guard_products()
-    first = guard_product(reduced.hcs)
     shared = guard_product(reduced.hcs)
-    assert shared is not first
+    assert guard_product(reduced.hcs) is shared
     assert guard_product(game_non_blocking(reduced).hcs) is shared
     assert HcsSemantics(reduced.hcs).products is shared.products
-    # Another cap is another product.
-    assert guard_product(reduced.hcs, 1000) is not shared
+    # A deterministic regular guard's tracker takes no cap, so every cap
+    # shares the product.
+    assert guard_product(reduced.hcs, 1000) is shared
     loop = FiniteAutomaton(AB, ("q",), 0, frozenset({0}), ((0, 0, 0),))
     outer = Hcs(AB, loop, {"n": Hcs(AB, loop, {}, {})}, {0: "n"})
     assert guard_product(outer) is not guard_product(outer)
@@ -134,16 +132,19 @@ def test_threads_solve_games_on_their_own_products():
     assert guard_product(games[0].hcs) is mine and len(mine.products) == interned
 
 
-def test_the_cap_is_part_of_the_key():
+def test_caps_share_one_product_and_keep_their_errors():
     hcs = checked_by(determinize(nth_from_last_guard(3)))
     n = len(determinize_hcs(hcs).states)  # the outer DFA needs n states
+    limit = f"^determinization exceeded the state cap of {n - 1}$"
     _clear_guard_products()
-    product = _admit(hcs, n)
+    with pytest.raises(ResourceLimitError, match=limit):  # cold
+        determinize_hcs(hcs, n - 1)
+    product = guard_product(hcs, n)
     assert len(determinize_hcs(hcs, n).states) == n
-    for _ in range(3):  # cold, on admission, then cached
-        with pytest.raises(ResourceLimitError, match=f"^determinization exceeded the state cap of {n - 1}$"):
+    for _ in range(2):  # on the product the cap-n DFA filled
+        with pytest.raises(ResourceLimitError, match=limit):
             determinize_hcs(hcs, n - 1)
-    assert guard_product(hcs, n - 1) is not product
+    assert guard_product(hcs, n - 1) is product
     assert guard_product(hcs, n) is product
 
 
@@ -294,25 +295,38 @@ def _loop_hcs():
     return Hcs(AB, loop, {}, {})
 
 
-def test_member_admits_a_system_on_its_second_sighting():
+def test_member_caches_a_system_on_its_first_call():
     hcs = random_depth_two_hcs(random.Random(7))
     _clear_guard_products()
     member(hcs, ["a"])
-    assert _cached(hcs) is None
-    member(hcs, ["a", "b"])
     semantics = _cached(hcs)
     assert semantics.hcs is hcs
+    member(hcs, ["a", "b"])
     member(hcs, ["b"])
     assert _cached(hcs) is semantics
     # At most 16 entries, the least recently used out first.
     others = [_loop_hcs() for _ in range(core._SHARED_CAPACITY)]
     for other in others:
         member(other, [])
-        member(other, [])
     assert _cached(hcs) is None
     assert all(_cached(other) is not None for other in others)
     _clear_guard_products()
-    assert not core._caches.semantics.entries and not core._caches.semantics.seen
+    assert not core._caches.semantics.entries
+
+
+def test_a_system_used_once_is_evicted_after_16_other_keys_oldest_first():
+    systems = [_loop_hcs() for _ in range(core._SHARED_CAPACITY + 2)]
+    _clear_guard_products()
+    for i, hcs in enumerate(systems):
+        assert member(hcs, ["a"])
+        assert _cached(hcs).hcs is hcs
+        kept = [_cached(older) is not None for older in systems[: i + 1]]
+        assert kept == [i - j < core._SHARED_CAPACITY for j in range(i + 1)], i
+    # A hit makes an entry the most recently used one.
+    survivor, next_out = systems[2], systems[3]
+    assert member(survivor, [])
+    assert member(_loop_hcs(), [])
+    assert _cached(survivor) is not None and _cached(next_out) is None
 
 
 def _eps_loop_hcs():
@@ -372,7 +386,7 @@ def test_threads_walk_their_own_cached_semantics():
     systems += [Hcs(AB, outer, {"n": hcs}, {1: "n", 2: "n"}) for hcs in systems[4:6]]
     systems.append(checked_by(nth_from_last_guard(4)))  # a lazy guard tracker
     counting = _counting_hcs()
-    queries = [(counting, ["a"] * 100 + ["b"] * 100)] * 2  # cached on the second
+    queries = [(counting, ["a"] * 100 + ["b"] * 100)] * 2  # the second reads the first's steps
     queries += [(hcs, [rng.choice("ab") for _ in range(rng.randint(0, 40))]) for hcs in systems for _ in range(6)]
     systems.append(counting)
     serial = [HcsSemantics(hcs).accepts(word) for hcs, word in queries]
@@ -412,7 +426,6 @@ def test_a_cap_error_leaves_the_cached_semantics_usable():
     limit = "epsilon closure exceeded 50 configurations"
     _clear_guard_products()
     member(hcs, ["a"], 50)
-    member(hcs, ["a"], 50)
     semantics = _cached(hcs, 50)
     for _ in range(3):
         with pytest.raises(ResourceLimitError, match=f"^{limit}$"):
@@ -435,16 +448,14 @@ def test_a_semantics_that_outgrows_its_bound_is_dropped():
     hcs = _counting_hcs()
     _clear_guard_products()
     member(hcs, [])
-    member(hcs, [])
     semantics = _cached(hcs)
     assert member(hcs, ["a"] * 100 + ["b"] * 100) and _cached(hcs) is semantics
     assert member(hcs, ["a"] * core._SHARED_DFA_STATES)
     assert len(semantics.configs) > core._SHARED_DFA_STATES
     assert _cached(hcs) is None
-    assert member(hcs, ["a"])  # seen afresh: private, then admitted again
-    assert _cached(hcs) is None
-    assert member(hcs, ["a"])
-    assert len(_cached(hcs).configs) == 2
+    assert member(hcs, ["a"])  # the next call caches a new semantics
+    fresh = _cached(hcs)
+    assert fresh is not semantics and len(fresh.configs) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +483,7 @@ def test_cold_admitted_and_cached_semantics_agree_on_every_short_word():
         for word in words:
             _clear_guard_products()
             cold.append(_outcome(lambda: member(hcs, word)))
-            admitted.append(_outcome(lambda: member(hcs, word)))  # on the entry this call admits
+            admitted.append(_outcome(lambda: member(hcs, word)))  # on the entry the cold call made
         semantics = _cached(hcs)
         hits = [_outcome(lambda: member(hcs, word)) for word in words]
         assert cold == admitted == hits, name
@@ -485,7 +496,7 @@ def test_unknown_symbols_and_cap_errors_keep_their_text_and_order():
     at_start = Hcs(AB, bursting.underlying, {"g": pumping}, {0: "g"})
     limit = "^epsilon closure exceeded 50 configurations$"
     _clear_guard_products()
-    for _ in range(3):  # cold, on admission, then cached
+    for _ in range(3):  # cold, then cached
         with pytest.raises(InputError, match=r"^unknown symbol 'c' \(alphabet: \['a', 'b'\]\)$"):
             member(bursting, ["a", "c", "b"], 50)
         with pytest.raises(InputError, match=r"^unknown symbol \['a'\] \(alphabet: \['a', 'b'\]\)$"):

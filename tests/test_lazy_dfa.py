@@ -130,6 +130,26 @@ def test_a_state_id_out_of_range_is_refused_and_leaves_the_table_intact():
     assert [semantics.accepting(d) for d in range(n)] == [fresh.accepting(d) for d in range(n)]
 
 
+def test_a_bool_is_neither_a_symbol_index_nor_a_state_id():
+    semantics, fresh = HcsSemantics(branching_nonempty_hcs()), HcsSemantics(branching_nonempty_hcs())
+    for walked in (semantics, fresh):
+        walked.step(walked.initial(), "a")
+    n = len(semantics.configs)
+    for flag in (True, False):
+        with pytest.raises(InputError, match=rf"^unknown symbol {flag} \(alphabet: \['a', 'b'\]\)$"):
+            semantics.step(0, flag)
+        with pytest.raises(InputError, match=rf"^unknown symbol {flag} \(alphabet: \['a', 'b'\]\)$"):
+            semantics.accepts([flag])
+        message = rf"^state {flag} out of range for {n} states$"
+        with pytest.raises(InputError, match=message):
+            semantics.step(flag, "a")
+        with pytest.raises(InputError, match=message):
+            semantics.accepting(flag)
+    with pytest.raises(InputError, match=r"^unknown symbol True \(alphabet: \['a', 'b'\]\)$"):
+        member(branching_nonempty_hcs(), [True])
+    assert semantics.configs == fresh.configs and semantics._delta == fresh._delta
+
+
 def two_counter_models():
     machines = [
         TwoCounterMachine(("p", "q"), ((0, "inc1", 1), (1, "dec1", 0)), 0, 0),
